@@ -312,55 +312,39 @@ let ablation_guidance () =
 
 (* Wide-join search scaling ------------------------------------------- *)
 
-(* How optimization time and memo size grow with join width, under the
-   guided (promise-ordered, cost-bounded) search and under the
-   exhaustive default. One cold run per width: at these scales the
-   signal is orders of magnitude, not microseconds. The exhaustive side
-   is skipped beyond [exhaustive_max_width] — it measures ~16s at width
-   10 and grows ~15x per width — so the sweep stays inside a CI budget
-   while the guided side still covers the headline width. *)
+(* How optimization time and memo size grow with join width under the
+   default branch-and-bound search. One cold run per width: at these
+   scales the signal is orders of magnitude, not microseconds. *)
 let scale_widths = [ 4; 6; 8; 10 ]
-
-let exhaustive_max_width = 8
 
 let search_scale_measurements () =
   List.map
     (fun width ->
       let q = Q.join_chain width in
-      let time options =
-        Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        let o = Opt.optimize ~options cat q in
-        (Unix.gettimeofday () -. t0, o)
-      in
-      let guided_s, o = time (Options.with_guided Options.default) in
-      let exhaustive_s =
-        if width <= exhaustive_max_width then fst (time Options.default) else Float.nan
-      in
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      let o = Opt.optimize cat q in
+      let seconds = Unix.gettimeofday () -. t0 in
       let st = o.Opt.stats in
       { History.s_width = width;
-        s_opt_seconds = guided_s;
-        s_exhaustive_seconds = exhaustive_s;
+        s_opt_seconds = seconds;
         s_groups = st.Engine.groups;
         s_mexprs = st.Engine.mexprs;
         s_candidates = st.Engine.candidates;
-        s_pruned = st.Engine.pruned_candidates + st.Engine.pruned_subgoals })
+        s_pruned = st.Engine.pruned_candidates })
     scale_widths
 
 let pp_search_scale rows =
-  Format.printf "%6s %12s %12s %8s %8s %8s %8s@." "width" "guided [s]" "exhaust [s]"
-    "groups" "mexprs" "plans" "pruned";
+  Format.printf "%6s %12s %8s %8s %8s %8s@." "width" "opt [s]" "groups" "mexprs" "plans"
+    "pruned";
   List.iter
     (fun (s : History.scale_rec) ->
-      Format.printf "%6d %12.3f %12s %8d %8d %8d %8d@." s.History.s_width
-        s.History.s_opt_seconds
-        (if Float.is_nan s.History.s_exhaustive_seconds then "-"
-         else Printf.sprintf "%.3f" s.History.s_exhaustive_seconds)
+      Format.printf "%6d %12.3f %8d %8d %8d %8d@." s.History.s_width s.History.s_opt_seconds
         s.History.s_groups s.History.s_mexprs s.History.s_candidates s.History.s_pruned)
     rows
 
 let search_scale () =
-  section "Wide-join scaling: guided search over n-way join chains";
+  section "Wide-join scaling: branch-and-bound search over n-way join chains";
   let rows = search_scale_measurements () in
   pp_search_scale rows;
   rows
@@ -379,11 +363,11 @@ let search_scale_gate () =
       rows
   in
   if worst > budget then begin
-    Format.printf "FAIL: slowest guided width took %.1fs (budget %.1fs)@." worst budget;
+    Format.printf "FAIL: slowest width took %.1fs (budget %.1fs)@." worst budget;
     1
   end
   else begin
-    Format.printf "ok: slowest guided width took %.1fs (budget %.1fs)@." worst budget;
+    Format.printf "ok: slowest width took %.1fs (budget %.1fs)@." worst budget;
     0
   end
 
@@ -708,9 +692,7 @@ let whynot_smoke () =
     time "q1-merge-disabled"
       (Options.disable "merge-join" Options.default)
       (Provenance.Force_join "merge");
-    time "chain8-guided-hash-pruned"
-      (Options.with_guided Options.default)
-      (Provenance.Force_join "hash") ]
+    time "chain8-hash" Options.default (Provenance.Force_join "hash") ]
 
 (* Bench history: the regression gate's input ------------------------- *)
 

@@ -97,12 +97,25 @@ let batch_size_arg =
         ~doc:"Tuples per execution batch (default $(b,OODB_BATCH_SIZE) or 64; 1 = classic \
               tuple-at-a-time Volcano).")
 
+(* Apply a flag's value, re-raising a rejection with the flag named; the
+   handler in [main] turns it into an error message and exit 1. *)
+let flag name value f x =
+  try f x with Invalid_argument m -> invalid_arg (Printf.sprintf "%s %s: %s" name value m)
+
 let options_of ?batch_size disabled window no_pruning =
   let options = Options.default in
-  let options = List.fold_left (fun o r -> Options.disable r o) options disabled in
-  let options = match window with Some w -> Options.with_assembly_window w options | None -> options in
   let options =
-    match batch_size with Some b -> Options.with_batch_size b options | None -> options
+    List.fold_left (fun o r -> flag "--disable" r (Options.disable r) o) options disabled
+  in
+  let options =
+    match window with
+    | Some w -> flag "--window" (string_of_int w) (Options.with_assembly_window w) options
+    | None -> options
+  in
+  let options =
+    match batch_size with
+    | Some b -> flag "--batch-size" (string_of_int b) (Options.with_batch_size b) options
+    | None -> options
   in
   { options with Options.pruning = not no_pruning }
 
@@ -539,8 +552,8 @@ let feedback_cmd =
       const feedback_run $ feedback_json_arg $ feedback_clear_arg $ scale_arg
       $ skewed_arg)
 
-let explain_run paper text disabled window no_pruning batch_size scale analyze why
-    guided skewed feedback memo_out memo_dot =
+let explain_run paper text disabled window no_pruning batch_size scale analyze why skewed
+    feedback memo_out memo_dot =
   let db =
     if skewed then Datagen.generate_skewed ~scale ()
     else Oodb_workloads.Datagen.generate ~scale ()
@@ -552,7 +565,6 @@ let explain_run paper text disabled window no_pruning batch_size scale analyze w
     1
   | Ok (q, required) ->
     let options = options_of ?batch_size disabled window no_pruning in
-    let options = if guided then Options.with_guided options else options in
     let options =
       if not feedback then options
       else
@@ -631,13 +643,6 @@ let why_flag_arg =
               multi-expression, per-step costs and cardinality estimates with their \
               source (model or feedback).")
 
-let guided_arg =
-  Arg.(
-    value & flag
-    & info [ "guided" ]
-        ~doc:"Use cost-bounded guided search (promise-ordered rules, cheapest-first \
-              candidates, subgoal domination).")
-
 let memo_out_arg =
   Arg.(
     value & opt (some string) None
@@ -664,14 +669,14 @@ let explain_cmd =
           export the memo as deterministic JSON or Graphviz DOT.")
     Term.(
       const explain_run $ paper_arg $ query_pos $ disable_arg $ window_arg $ no_pruning_arg
-      $ batch_size_arg $ scale_arg $ analyze_flag_arg $ why_flag_arg $ guided_arg
-      $ skewed_arg $ feedback_arg $ memo_out_arg $ memo_dot_arg)
+      $ batch_size_arg $ scale_arg $ analyze_flag_arg $ why_flag_arg $ skewed_arg
+      $ feedback_arg $ memo_out_arg $ memo_dot_arg)
 
 (* ------------------------------------------------------------------ *)
 (* why-not: counterfactual plan-shape classification                     *)
 
-let why_not_run paper text chain disabled window no_pruning no_indexes guided skewed
-    feedback scale force_index force_join force_scan force_alg json =
+let why_not_run paper text chain disabled window no_pruning no_indexes skewed feedback
+    scale force_index force_join force_scan force_alg json =
   let shape =
     match force_index, force_join, force_scan, force_alg with
     | Some ix, None, None, None -> Ok (Provenance.Force_index ix)
@@ -694,7 +699,10 @@ let why_not_run paper text chain disabled window no_pruning no_indexes guided sk
     in
     let compiled =
       match chain with
-      | Some w -> Ok (Oodb_workloads.Queries.join_chain w, Open_oodb.Physprop.empty)
+      | Some w ->
+        Ok
+          ( flag "--chain" (string_of_int w) Oodb_workloads.Queries.join_chain w,
+            Open_oodb.Physprop.empty )
       | None -> compile_query cat paper text
     in
     match compiled with
@@ -703,8 +711,7 @@ let why_not_run paper text chain disabled window no_pruning no_indexes guided sk
       1
     | Ok (q, required) -> (
       let options = options_of disabled window no_pruning in
-      let options = if guided then Options.with_guided options else options in
-      let options =
+        let options =
         if not feedback then options
         else
           match Feedback.of_env cat with
@@ -732,7 +739,7 @@ let chain_arg =
     value & opt (some int) None
     & info [ "chain" ] ~docv:"W"
         ~doc:"Use the built-in $(docv)-way chain-join query instead of ZQL text or \
-              $(b,--paper) (the guided-search pruning demo).")
+              $(b,--paper) (the wide-join pruning demo).")
 
 let force_index_arg =
   Arg.(
@@ -777,7 +784,7 @@ let why_not_cmd =
           margin). Requires provenance recording (on by default).")
     Term.(
       const why_not_run $ paper_arg $ query_pos $ chain_arg $ disable_arg $ window_arg
-      $ no_pruning_arg $ no_indexes_arg $ guided_arg $ skewed_arg $ feedback_arg
+      $ no_pruning_arg $ no_indexes_arg $ skewed_arg $ feedback_arg
       $ scale_arg $ force_index_arg $ force_join_arg $ force_scan_arg $ force_alg_arg
       $ why_not_json_arg)
 
@@ -808,7 +815,7 @@ let bench_compare_run old_path new_path threshold min_seconds report_only =
   match pair with
   | Error e ->
     Format.eprintf "error: %s@." e;
-    2
+    1
   | Ok (old_rec, new_rec) ->
     let c =
       History.compare_records ?threshold ?min_seconds ~old_rec ~new_rec ()
@@ -856,7 +863,8 @@ let bench_compare_cmd =
        ~doc:
          "Compare the newest benchmark-history records of two JSONL files (or the last \
           two records of one file) and exit 1 when a per-query min wall time regressed \
-          beyond both the relative threshold and the absolute floor.")
+          beyond both the relative threshold and the absolute floor, or when a history \
+          file cannot be read.")
     Term.(
       const bench_compare_run $ bench_old_pos $ bench_new_pos $ threshold_arg
       $ min_seconds_arg $ report_only_arg)
@@ -1169,7 +1177,7 @@ let join_width_arg =
     value & opt (some int) None
     & info [ "join-width" ] ~docv:"W"
         ~doc:"Append a $(docv)-way chain-join query (name [wide]) to every scenario's query \
-              set — the wide-join scaling knob for the guided-search differentials.")
+              set — the wide-join scaling knob for the differentials.")
 
 let gen_run seed n join_width zql_out out =
   (match zql_out with
@@ -1269,7 +1277,16 @@ let effectiveness_cmd =
 let () =
   let doc = "The Open OODB query optimizer (SIGMOD 1993 reproduction)" in
   let info = Cmd.info "oodb" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval' (Cmd.group info
-          [ catalog_cmd; rules_cmd; optimize_cmd; optimize_all_cmd; memo_cmd; run_cmd;
-            feedback_cmd; explain_cmd; why_not_cmd; bench_compare_cmd; greedy_cmd;
-            analyze_cmd; stats_cmd; lint_cmd; certify_cmd; gen_cmd; effectiveness_cmd ]))
+  let main =
+    Cmd.group info
+      [ catalog_cmd; rules_cmd; optimize_cmd; optimize_all_cmd; memo_cmd; run_cmd;
+        feedback_cmd; explain_cmd; why_not_cmd; bench_compare_cmd; greedy_cmd;
+        analyze_cmd; stats_cmd; lint_cmd; certify_cmd; gen_cmd; effectiveness_cmd ]
+  in
+  (* A bad flag value or an unreadable file is a user error: one line on
+     stderr and exit 1, not an uncaught exception. *)
+  exit
+    (try Cmd.eval' ~catch:false main with
+    | Invalid_argument m | Sys_error m ->
+      Format.eprintf "error: %s@." m;
+      1)

@@ -26,15 +26,8 @@ let order_unless_introduced required outs =
 (* ------------------------------------------------------------------ *)
 (* Get => File Scan                                                     *)
 
-(* Promise values order rule application under guided search: rules that
-   cheaply complete a plan (leaf scans, pointer chases) run first so the
-   branch-and-bound limit tightens before the expensive alternatives
-   (sort-hungry merge joins) are even costed. Only the relative order
-   among rules matching the same operator matters. *)
-
 let file_scan cfg cat =
   { Engine.i_name = "file-scan";
-    i_promise = 100;
     i_apply =
       (fun _ctx ~required m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -116,7 +109,6 @@ let residual_on_root root atoms =
 
 let collapse_index_scan cfg cat =
   { Engine.i_name = "collapse-index-scan";
-    i_promise = 90;
     i_apply =
       (fun ctx ~required m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -189,7 +181,6 @@ let collapse_index_scan cfg cat =
 
 let filter cfg cat =
   { Engine.i_name = "filter";
-    i_promise = 50;
     i_apply =
       (fun ctx ~required m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -212,7 +203,6 @@ let filter cfg cat =
 
 let hash_join cfg cat =
   { Engine.i_name = "hash-join";
-    i_promise = 60;
     i_apply =
       (fun ctx ~required m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -277,7 +267,6 @@ let order_of_operand = function
 
 let merge_join cfg cat =
   { Engine.i_name = "merge-join";
-    i_promise = 40;
     i_apply =
       (fun ctx ~required m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -342,7 +331,6 @@ let merge_join cfg cat =
 
 let pointer_join cfg cat =
   { Engine.i_name = "pointer-join";
-    i_promise = 70;
     i_apply =
       (fun ctx ~required m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -476,7 +464,6 @@ let assembly_candidate cfg cat ctx ~required ~window ~input_group paths =
    collection fits the buffer pool. *)
 let warm_assembly cfg cat =
   { Engine.i_name = "warm-assembly";
-    i_promise = 55;
     i_apply =
       (fun ctx ~required m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -517,7 +504,6 @@ let warm_assembly cfg cat =
 
 let mat_assembly cfg cat =
   { Engine.i_name = "mat-assembly";
-    i_promise = 50;
     i_apply =
       (fun ctx ~required m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -556,7 +542,6 @@ let mat_assembly cfg cat =
 
 let alg_project cfg cat =
   { Engine.i_name = "alg-project";
-    i_promise = 50;
     i_apply =
       (fun ctx ~required m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -586,7 +571,6 @@ let alg_project cfg cat =
 
 let alg_unnest cfg cat =
   { Engine.i_name = "alg-unnest";
-    i_promise = 50;
     i_apply =
       (fun ctx ~required m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -609,7 +593,6 @@ let alg_unnest cfg cat =
 
 let hash_setop cfg cat =
   { Engine.i_name = "hash-setop";
-    i_promise = 50;
     i_apply =
       (fun ctx ~required m ->
         match m.Engine.mop, m.Engine.minputs with

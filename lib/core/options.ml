@@ -2,7 +2,6 @@ type t = {
   config : Oodb_cost.Config.t;
   disabled : string list;
   pruning : bool;
-  guided : bool;
   normalize : bool;
   verify : bool;
   cache : bool;
@@ -14,16 +13,11 @@ let default =
   { config = Oodb_cost.Config.default;
     disabled = [ "warm-assembly" ];
     pruning = true;
-    guided = false;
     normalize = true;
     verify = true;
     cache = true;
     provenance = true;
     feedback_qerror_limit = 16.0 }
-
-let with_guided t = { t with guided = true }
-
-let without_guided t = { t with guided = false }
 
 let with_provenance t = { t with provenance = true }
 

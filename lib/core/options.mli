@@ -8,14 +8,6 @@ type t = {
   config : Oodb_cost.Config.t;
   disabled : string list;  (** rule names to ignore; see {!rule_names} *)
   pruning : bool;  (** branch-and-bound cost limits (default on) *)
-  guided : bool;
-      (** cost-bounded guided search (default off): implementation rules
-          run in promise order, candidates are costed cheapest first,
-          and provably dominated subgoals are never expanded. Guided
-          search returns plans of exactly the same cost as the
-          exhaustive search — it changes how fast the winner is found,
-          never which winner — so like [verify] and [cache] it is meta
-          and never splits cache fingerprints *)
   normalize : bool;
       (** run the {!Argtrans} argument-transformation pass before
           algebraic optimization (default on) *)
@@ -35,7 +27,7 @@ type t = {
           and firing sequence, and every physical candidate's final
           disposition (kept / pruned with the bound and margin /
           abandoned) — the substrate of [explain --why], [why-not] and
-          the memo export. Like [guided] it never changes which plan
+          the memo export. Like [verify] it never changes which plan
           wins, so it is excluded from plan-cache fingerprints *)
   feedback_qerror_limit : float;
       (** maximum recorded q-error a cached plan may carry before a
@@ -81,13 +73,6 @@ val without_feedback : t -> t
 
 val without_cache : t -> t
 (** Turn {!field-cache} off: cache-aware entry points always optimize cold. *)
-
-val with_guided : t -> t
-(** Turn {!field-guided} on: promise-ordered rules, cheapest-first
-    candidate costing, dominated-subgoal skipping. Winner costs are
-    identical to the exhaustive search. *)
-
-val without_guided : t -> t
 
 val with_provenance : t -> t
 

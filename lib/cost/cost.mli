@@ -22,12 +22,12 @@ val sub : t -> t -> t
 
 val slack : t
 (** One nanosecond ({!total}); the tolerance the search engine adds to
-    a branch-and-bound limit before discarding a candidate or subgoal.
-    Limits propagate through {!sub}, whose componentwise rounding
+    a branch-and-bound limit before discarding a candidate or memoized
+    plan. Limits propagate through {!sub}, whose componentwise rounding
     drifts from the exact algebraic value by ulps ([1e-17]-ish at
     second-scale costs); a discard exactly at the boundary would then
-    drop plans the exhaustive enumeration keeps, breaking the
-    guided-equals-exhaustive winner-cost contract. [1e-9] is ~8 orders
+    drop plans the unpruned enumeration keeps, so branch-and-bound would
+    no longer return the unpruned winner's exact cost. [1e-9] is ~8 orders
     of magnitude above the drift and far below any modelled cost
     difference between genuinely distinct plans. *)
 
@@ -43,8 +43,8 @@ val compare : t -> t -> int
     it meets first — and a parent plan folds the chosen child's io and
     cpu into its own sums, so two tied children perturb the parent's
     total at the ulp level. The tie-break makes the winner independent
-    of enumeration order, which the guided-equals-exhaustive
-    winner-cost contract relies on. *)
+    of which tied candidates pruning happened to skip, which the
+    pruned-equals-unpruned winner-cost contract relies on. *)
 
 val ( <= ) : t -> t -> bool
 

@@ -16,8 +16,7 @@ type query_rec = {
 
 type scale_rec = {
   s_width : int;
-  s_opt_seconds : float;  (* guided search, one cold run *)
-  s_exhaustive_seconds : float;  (* nan when skipped as over budget *)
+  s_opt_seconds : float;  (* one cold run of the default search *)
   s_groups : int;
   s_mexprs : int;
   s_candidates : int;
@@ -55,8 +54,6 @@ let scale_json s =
   Json.Obj
     [ ("width", Json.Int s.s_width);
       ("opt_seconds", Json.float s.s_opt_seconds);
-      (* Json.float encodes the nan of an over-budget width as null *)
-      ("exhaustive_seconds", Json.float s.s_exhaustive_seconds);
       ("memo_groups", Json.Int s.s_groups);
       ("memo_mexprs", Json.Int s.s_mexprs);
       ("plans", Json.Int s.s_candidates);
@@ -113,18 +110,13 @@ let query_of_json j =
 
 let scale_of_json j =
   let* s_width = field "width" Json.to_int j in
+  (* Older records also carry "exhaustive_seconds"; it is ignored. *)
   let* s_opt_seconds = field "opt_seconds" Json.to_float j in
-  let s_exhaustive_seconds =
-    match Json.member "exhaustive_seconds" j with
-    | Some v -> Option.value (Json.to_float v) ~default:Float.nan
-    | None -> Float.nan
-  in
   let* s_groups = field "memo_groups" Json.to_int j in
   let* s_mexprs = field "memo_mexprs" Json.to_int j in
   let* s_candidates = field "plans" Json.to_int j in
   let* s_pruned = field "pruned" Json.to_int j in
-  Ok { s_width; s_opt_seconds; s_exhaustive_seconds; s_groups; s_mexprs;
-       s_candidates; s_pruned }
+  Ok { s_width; s_opt_seconds; s_groups; s_mexprs; s_candidates; s_pruned }
 
 let rec all_ok = function
   | [] -> Ok []
@@ -200,6 +192,7 @@ let append path r =
 
 let load path =
   if not (Sys.file_exists path) then Error (Printf.sprintf "%s: no such file" path)
+  else if Sys.is_directory path then Error (Printf.sprintf "%s: is a directory" path)
   else begin
     let ic = open_in path in
     Fun.protect
@@ -296,7 +289,7 @@ let compare_records ?(threshold = default_threshold)
           | Some os ->
             [ delta
                 (Printf.sprintf "chain%d" ns.s_width)
-                "guided_opt_seconds" os.s_opt_seconds ns.s_opt_seconds ])
+                "opt_seconds" os.s_opt_seconds ns.s_opt_seconds ])
         new_rec.r_search_scale
   in
   let names r = List.map (fun q -> q.q_name) r.r_queries in

@@ -39,17 +39,15 @@ type query_rec = {
 
 type scale_rec = {
   s_width : int;  (** join-chain width (number of joined collections) *)
-  s_opt_seconds : float;  (** one cold guided-search optimization *)
-  s_exhaustive_seconds : float;
-      (** one cold exhaustive optimization; [nan] (encoded [null]) when
-          the width was over the exhaustive budget and skipped *)
+  s_opt_seconds : float;  (** one cold optimization under the default search *)
   s_groups : int;
   s_mexprs : int;
   s_candidates : int;  (** physical plans costed (the paper's "plans") *)
-  s_pruned : int;  (** candidates + subgoals refused by bound propagation *)
+  s_pruned : int;  (** candidates refused by branch-and-bound *)
 }
 (** One row of the wide-join scaling sweep: how optimization time and
-    memo size grow with join width under the guided search. *)
+    memo size grow with join width. Older records also carry an
+    [exhaustive_seconds] field; loading ignores it. *)
 
 type record = {
   r_git_sha : string;
@@ -133,7 +131,7 @@ val compare_records :
     [new - old > min_seconds]. When both records carry a [mean_qerror],
     it is diffed too, with {!qerror_floor} as the absolute floor in
     place of [min_seconds]. [search_scale] rows are matched by width
-    (reported as [chainN]) and diff the guided optimization time. *)
+    (reported as [chainN]) and diff [opt_seconds]. *)
 
 val regressed : comparison -> bool
 

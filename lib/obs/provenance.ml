@@ -250,7 +250,7 @@ type verdict =
       local_cost : Cost.t;
       limit : Cost.t;  (* the bound in force at the decision point *)
       margin : Cost.t;  (* amount over the bound (before slack) *)
-      mode : string;  (* "candidate" | "subgoal" | "abandoned" *)
+      mode : string;  (* "candidate" | "abandoned" *)
     }
 
 type classification = { cl_shape : shape; cl_verdict : verdict; cl_dropped : int }
@@ -311,7 +311,6 @@ let classify_verdict options (o : Optimizer.outcome) shape =
       let pruned_of (cr : Engine.cand_record) =
         match cr.Engine.cr_disposition with
         | Engine.Pruned_candidate { limit; margin } -> Some (cr, limit, margin, "candidate")
-        | Engine.Pruned_subgoal { limit; margin; _ } -> Some (cr, limit, margin, "subgoal")
         | Engine.Kept _ | Engine.Abandoned -> None
       in
       (* Upward walk from goals the shape *won*: the shape itself
@@ -420,16 +419,15 @@ let classify ?(options = Options.default) ?replay (o : Optimizer.outcome) shape 
   else begin
     let verdict = classify_verdict options o shape in
     let dropped = Engine.provenance_dropped o.Optimizer.memo in
-    (* Escalation: under exhaustive branch-and-bound, a prune (or an
-       unexplored subgoal that makes the shape look never-derived) is
-       just a short-circuited cost comparison — the bound is admissible,
-       so re-running without pruning completes every alternative and
-       turns the verdict into a true derived-but-lost gap. Guided-mode
-       refusals are a real death mode and are never second-guessed. *)
+    (* Escalation: under branch-and-bound, a prune (or an unexplored
+       subgoal that makes the shape look never-derived) is just a
+       short-circuited cost comparison — the bound is admissible, so
+       re-running without pruning completes every alternative and turns
+       the verdict into a true derived-but-lost gap. *)
     let verdict, dropped =
       match verdict, replay with
       | (Pruned_away _ | Never_derived { disabled = []; rules = _ :: _ }), Some replay
-        when options.Options.pruning && not options.Options.guided -> (
+        when options.Options.pruning -> (
         let options' = { options with Options.pruning = false } in
         let o' = replay options' in
         if not (available o') then (verdict, dropped)
@@ -564,14 +562,6 @@ let disposition_json = function
     Json.Obj
       [ ("pruned_candidate", Json.Obj [ ("limit", cost_json limit); ("margin", cost_json margin) ])
       ]
-  | Engine.Pruned_subgoal { subgoal; subgoal_required; limit; margin } ->
-    Json.Obj
-      [ ( "pruned_subgoal",
-          Json.Obj
-            [ ("subgoal", Json.Int subgoal);
-              ("required", Json.String (Format.asprintf "%a" Physprop.pp subgoal_required));
-              ("limit", cost_json limit);
-              ("margin", cost_json margin) ] ) ]
   | Engine.Abandoned -> Json.String "abandoned"
 
 let mexpr_id_json mid = Json.String (Format.asprintf "%a" Volcano.Id.pp mid)
@@ -681,8 +671,7 @@ let memo_dot (o : Optimizer.outcome) ~required =
       | Some m -> (
         match cr.Engine.cr_disposition with
         | Engine.Kept _ -> Hashtbl.replace kept m ()
-        | Engine.Pruned_candidate _ | Engine.Pruned_subgoal _ ->
-          Hashtbl.replace pruned m ()
+        | Engine.Pruned_candidate _ -> Hashtbl.replace pruned m ()
         | Engine.Abandoned -> ()))
     cands;
   pr "digraph memo {\n";

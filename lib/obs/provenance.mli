@@ -108,7 +108,7 @@ type verdict =
       local_cost : Cost.t;
       limit : Cost.t;
       margin : Cost.t;
-      mode : string;  (** ["candidate"] | ["subgoal"] | ["abandoned"] *)
+      mode : string;  (** ["candidate"] | ["abandoned"] *)
     }
       (** every matching candidate died under the branch-and-bound limit;
           the record replays the bound and margin of the closest call *)
@@ -129,13 +129,13 @@ val classify :
     subtree carrying it actually lost or was pruned.
 
     [replay], when given, re-optimizes the same query under modified
-    options. It is used for one escalation only: under exhaustive
-    (non-guided) branch-and-bound, a prune is a short-circuited cost
-    comparison, so a pruned (or blocked-path never-derived) verdict is
-    re-derived with [pruning = false]; if the completed search shows
-    the alternative losing on cost, the verdict upgrades to
-    {!Derived_but_lost} with the true gap. Guided-mode refusals are
-    reported as {!Pruned_away} and never second-guessed.
+    options. It is used for one escalation only: under branch-and-bound,
+    a prune is a short-circuited cost comparison, so a pruned (or
+    blocked-path never-derived) verdict is re-derived with
+    [pruning = false]; if the completed search shows the alternative
+    losing on cost, the verdict upgrades to {!Derived_but_lost} with the
+    true gap. Without [replay] the prune is reported as {!Pruned_away},
+    with the bound and margin in force when it died.
 
     [Error] when provenance was not recorded. *)
 

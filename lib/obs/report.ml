@@ -93,7 +93,6 @@ let stats_json (s : Engine.stats) =
       ("trule_fired", Json.Int s.Engine.trule_fired);
       ("candidates", Json.Int s.Engine.candidates);
       ("pruned_candidates", Json.Int s.Engine.pruned_candidates);
-      ("pruned_subgoals", Json.Int s.Engine.pruned_subgoals);
       ("enforcer_uses", Json.Int s.Engine.enforcer_uses);
       ("phys_memo_hits", Json.Int s.Engine.phys_memo_hits);
       ("closure_steps", Json.Int s.Engine.closure_steps);

@@ -12,7 +12,6 @@ type group_cell = {
   mutable c_trules_fired : int;
   mutable c_candidates : int;
   mutable c_prunes : int;
-  mutable c_subgoal_prunes : int;
   mutable c_enforcer_inserts : int;
   mutable c_memo_hits : int;
 }
@@ -26,7 +25,6 @@ type totals = {
   irules_tried : int;
   candidates : int;
   prunes : int;
-  subgoal_prunes : int;
   enforcers_tried : int;
   enforcer_offers : int;
   enforcer_inserts : int;
@@ -49,7 +47,6 @@ let zero_totals =
     irules_tried = 0;
     candidates = 0;
     prunes = 0;
-    subgoal_prunes = 0;
     enforcers_tried = 0;
     enforcer_offers = 0;
     enforcer_inserts = 0;
@@ -78,7 +75,6 @@ let group_cell t g =
         c_trules_fired = 0;
         c_candidates = 0;
         c_prunes = 0;
-        c_subgoal_prunes = 0;
         c_enforcer_inserts = 0;
         c_memo_hits = 0 }
     in
@@ -116,10 +112,6 @@ let aggregate t (e : Engine.event) =
     let c = group_cell t group in
     c.c_prunes <- c.c_prunes + 1;
     t.totals <- { tot with prunes = tot.prunes + 1 }
-  | Subgoal_pruned { group; _ } ->
-    let c = group_cell t group in
-    c.c_subgoal_prunes <- c.c_subgoal_prunes + 1;
-    t.totals <- { tot with subgoal_prunes = tot.subgoal_prunes + 1 }
   | Enforcer_tried { rule; _ } ->
     (rule_cell t rule).tried <- (rule_cell t rule).tried + 1;
     t.totals <- { tot with enforcers_tried = tot.enforcers_tried + 1 }
@@ -149,7 +141,6 @@ type group_stat = {
   g_trules_fired : int;
   g_candidates : int;
   g_prunes : int;
-  g_subgoal_prunes : int;
   g_enforcer_inserts : int;
   g_memo_hits : int;
 }
@@ -162,7 +153,6 @@ let per_group t =
           g_trules_fired = c.c_trules_fired;
           g_candidates = c.c_candidates;
           g_prunes = c.c_prunes;
-          g_subgoal_prunes = c.c_subgoal_prunes;
           g_enforcer_inserts = c.c_enforcer_inserts;
           g_memo_hits = c.c_memo_hits } )
       :: acc)
@@ -196,9 +186,6 @@ let pp_event ppf (e : Engine.event) =
   | Pruned { group; alg; cost; limit } ->
     Format.fprintf ppf "pruned %a in group %d: %a > limit %a" Physical.pp alg
       group Cost.pp cost Cost.pp limit
-  | Subgoal_pruned { group; required } ->
-    Format.fprintf ppf "subgoal pruned: (group %d, %a) dominated, never expanded"
-      group Physprop.pp required
   | Enforcer_tried { rule; group } ->
     Format.fprintf ppf "enforcer %s tried on group %d" rule group
   | Enforcer_offered { rule; group; alg; cost } ->
@@ -244,23 +231,22 @@ let pp_rules ppf t =
     (per_rule t)
 
 let pp_groups ppf t =
-  Format.fprintf ppf "%5s %7s %7s %7s %7s %8s %9s %9s@." "group" "mexprs" "tfired"
-    "cands" "prunes" "subgoals" "enforced" "memohits";
+  Format.fprintf ppf "%5s %7s %7s %7s %7s %9s %9s@." "group" "mexprs" "tfired" "cands"
+    "prunes" "enforced" "memohits";
   List.iter
     (fun (g, s) ->
-      Format.fprintf ppf "%5d %7d %7d %7d %7d %8d %9d %9d@." g s.g_mexprs
-        s.g_trules_fired s.g_candidates s.g_prunes s.g_subgoal_prunes
-        s.g_enforcer_inserts s.g_memo_hits)
+      Format.fprintf ppf "%5d %7d %7d %7d %7d %9d %9d@." g s.g_mexprs s.g_trules_fired
+        s.g_candidates s.g_prunes s.g_enforcer_inserts s.g_memo_hits)
     (per_group t)
 
 let pp_summary ppf t =
   let x = t.totals in
   Format.fprintf ppf
     "groups %d, mexprs %d, merges %d; trules %d/%d fired, irules %d tried / %d \
-     candidates, %d pruned, %d subgoals skipped; enforcers %d tried / %d \
-     offered / %d inserted; %d memo hits; %d events (%d dropped)@."
+     candidates, %d pruned; enforcers %d tried / %d offered / %d inserted; %d \
+     memo hits; %d events (%d dropped)@."
     x.groups_created x.mexprs_added x.merges x.trules_fired x.trules_tried
-    x.irules_tried x.candidates x.prunes x.subgoal_prunes x.enforcers_tried
+    x.irules_tried x.candidates x.prunes x.enforcers_tried
     x.enforcer_offers x.enforcer_inserts x.memo_hits (seen t) (dropped t)
 
 let cost_json (c : Cost.t) =
@@ -294,10 +280,6 @@ let event_json (e : Engine.event) =
         ("alg", alg_json alg);
         ("cost", cost_json cost);
         ("limit", cost_json limit) ]
-  | Subgoal_pruned { group; required } ->
-    obj "subgoal_pruned"
-      [ g group;
-        ("required", Json.String (Format.asprintf "%a" Physprop.pp required)) ]
   | Enforcer_tried { rule = r; group } -> obj "enforcer_tried" [ rule r; g group ]
   | Enforcer_offered { rule = r; group; alg; cost } ->
     obj "enforcer_offered"
@@ -341,7 +323,6 @@ let to_json ?(prov_dropped = 0) t =
             ("irules_tried", Json.Int x.irules_tried);
             ("candidates", Json.Int x.candidates);
             ("prunes", Json.Int x.prunes);
-            ("subgoal_prunes", Json.Int x.subgoal_prunes);
             ("enforcers_tried", Json.Int x.enforcers_tried);
             ("enforcer_offers", Json.Int x.enforcer_offers);
             ("enforcer_inserts", Json.Int x.enforcer_inserts);
@@ -365,7 +346,6 @@ let to_json ?(prov_dropped = 0) t =
                    ("trules_fired", Json.Int s.g_trules_fired);
                    ("candidates", Json.Int s.g_candidates);
                    ("prunes", Json.Int s.g_prunes);
-                   ("subgoal_prunes", Json.Int s.g_subgoal_prunes);
                    ("enforcer_inserts", Json.Int s.g_enforcer_inserts);
                    ("memo_hits", Json.Int s.g_memo_hits) ])
              (per_group t)) );

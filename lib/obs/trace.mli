@@ -32,7 +32,6 @@ type group_stat = {
   g_trules_fired : int;
   g_candidates : int;
   g_prunes : int;
-  g_subgoal_prunes : int;  (** subgoals never expanded (guided search) *)
   g_enforcer_inserts : int;
   g_memo_hits : int;
 }
@@ -50,7 +49,6 @@ type totals = {
   irules_tried : int;
   candidates : int;
   prunes : int;
-  subgoal_prunes : int;
   enforcers_tried : int;
   enforcer_offers : int;
   enforcer_inserts : int;

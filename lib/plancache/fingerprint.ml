@@ -194,9 +194,7 @@ let emit_required buf rename (p : Physprop.t) =
   Buffer.add_char buf '}'
 
 (* Every option that can change the chosen plan. [verify] only checks
-   the winner, [cache] is meta, and [guided] changes how fast the winner
-   is found but never which winner (bound propagation only skips
-   provably dominated work), so none of those split entries. *)
+   the winner and [cache] is meta, so neither splits entries. *)
 let emit_options buf (o : Options.t) =
   let c = o.Options.config in
   Printf.ksprintf (Buffer.add_string buf)

@@ -53,11 +53,6 @@ type kind =
   | V_options of Options.t
   | V_cache  (** cold then warm through a fresh plan cache *)
   | V_feedback  (** re-optimize after harvesting one profiled run *)
-  | V_guided
-      (** promise-ordered, cost-bounded search: the winner must cost
-          {e exactly} what the exhaustive search's winner costs — guided
-          mode changes how fast the winner is found, never which winner —
-          and execute to the same rows *)
 
 (* Only rules with overlapping coverage are toggled: disabling e.g.
    [file-scan] would leave groups with no implementation at all. *)
@@ -71,7 +66,6 @@ let variants () =
     ("batch-64", V_options (Options.with_batch_size 64 base));
     ("no-pruning", V_options { base with Options.pruning = false });
     ("window-1", V_options (Options.with_assembly_window 1 base));
-    ("guided", V_guided);
     ("cache-warm", V_cache);
     ("feedback", V_feedback) ]
   @ List.filter_map
@@ -151,28 +145,6 @@ let check_variant_exn db ~base logical required kind =
             if r1 <> base then Some ("cache-cold: " ^ describe_mismatch base r1)
             else if r2 <> base then Some ("cache-warm: " ^ describe_mismatch base r2)
             else None)
-      | V_guided -> (
-        (* Winner-cost parity is the contract worth a dedicated variant:
-           row parity alone would let a silently suboptimal guided
-           search slip through (many plans produce the same rows). *)
-        let module Cost = Oodb_cost.Cost in
-        let exh = Opt.optimize ~required cat logical in
-        let gui = Opt.optimize ~options:(Options.with_guided Options.default) ~required cat logical in
-        match exh.Opt.plan, gui.Opt.plan with
-        | None, None -> None
-        | Some _, None -> Some "guided search found no plan where exhaustive did"
-        | None, Some _ -> Some "guided search found a plan where exhaustive did not"
-        | Some pe, Some pg -> (
-          if Cost.compare pg.Engine.cost pe.Engine.cost <> 0 then
-            Some
-              (Format.asprintf "guided winner costs %a, exhaustive winner costs %a" Cost.pp
-                 pg.Engine.cost Cost.pp pe.Engine.cost)
-          else
-            match Verify.plan ~required cat pg with
-            | Error vs -> Some (Format.asprintf "plan lint: %a" Verify.pp_violations vs)
-            | Ok () ->
-              let rows = canon_rows (Executor.run db pg) in
-              if rows = base then None else Some (describe_mismatch base rows)))
       | V_feedback -> (
         let outcome = Opt.optimize ~required cat logical in
         match outcome.Opt.plan with

@@ -2,14 +2,11 @@
     its ZQL {e text} (so the lexer/parser/simplifier are on the path),
     optimized and executed under the default configuration, then
     re-optimized and re-executed under each variant configuration —
-    batch sizes 1 and 64, pruning off, assembly window 1, guided
-    (promise-ordered, cost-bounded) search, individual rule toggles, a
-    cold-then-warm plan cache, and a feedback-harvesting round trip.
-    The guided variant additionally demands winner-{e cost} equality
-    with the exhaustive search, not just row parity. Every winner passes
-    {!Oodb_verify.Verify.plan}; every memo passes
-    {!Oodb_verify.Verify.types}; every variant's row multiset must equal
-    the baseline's.
+    batch sizes 1 and 64, pruning off, assembly window 1, individual
+    rule toggles, a cold-then-warm plan cache, and a feedback-harvesting
+    round trip. Every winner passes {!Oodb_verify.Verify.plan}; every
+    memo passes {!Oodb_verify.Verify.types}; every variant's row
+    multiset must equal the baseline's.
 
     A failing (query, variant) pair is shrunk greedily — dropping
     set-operation branches, ORDER BY, projections and WHERE conjuncts
@@ -34,9 +31,6 @@ type kind =
   | V_options of Open_oodb.Options.t
   | V_cache
   | V_feedback
-  | V_guided
-      (** promise-ordered, cost-bounded search: winner cost must equal
-          the exhaustive winner's exactly, and rows must match *)
 
 val variants : unit -> (string * kind) list
 

@@ -125,7 +125,6 @@ module Make (M : MODEL) = struct
     | Irule_tried of { rule : string; group : group }
     | Candidate_costed of { rule : string; group : group; alg : M.Alg.t; cost : M.Cost.t }
     | Pruned of { group : group; alg : M.Alg.t; cost : M.Cost.t; limit : M.Cost.t }
-    | Subgoal_pruned of { group : group; required : M.Pprop.t }
     | Enforcer_tried of { rule : string; group : group }
     | Enforcer_offered of { rule : string; group : group; alg : M.Alg.t; cost : M.Cost.t }
     | Enforcer_inserted of { group : group; alg : M.Alg.t }
@@ -217,36 +216,32 @@ module Make (M : MODEL) = struct
     mutable s_trule_tried : int;
     mutable s_candidates : int;
     mutable s_pruned_candidates : int;
-    mutable s_pruned_subgoals : int;
     mutable s_enforcer_uses : int;
     mutable s_phys_memo_hits : int;
     mutable s_closure_steps : int;
     mutable s_closure_complete : bool;
   }
 
-  type rule_counter = { mutable rc_tried : int; mutable rc_fired : int }
+  (* One row of the session's dense rule table. Every enabled trule,
+     irule and enforcer gets an int id when the session is created (one
+     id per distinct name), so the closure's inner loop, the lineage
+     columns and the candidate log carry that id instead of hashing the
+     rule's name on every try. *)
+  type rule_stat = { r_name : string; mutable r_tried : int; mutable r_fired : int }
 
   (* ------------------------------------------------------------------ *)
   (* Provenance side-tables                                              *)
 
-  (* How a logged physical candidate died (or didn't). [margin] is always
-     the amount by which the bound was exceeded at the decision point
-     (positive = over budget), before the [Cost.slack] tolerance:
-     [Pruned_candidate] compares the candidate's local cost against the
-     limit in force; [Pruned_subgoal] is the committed cost overrun when
-     the remaining budget for a child goal went negative. [Abandoned]
-     covers candidates that never completed for any other reason — the
-     delivered property did not satisfy the requirement, or a child goal
-     found no plan within its budget. *)
+  (* How a logged physical candidate died (or didn't). [margin] is the
+     amount by which the candidate's local cost exceeded the limit in
+     force at the decision point (positive = over budget), before the
+     [Cost.slack] tolerance. [Abandoned] covers candidates that never
+     completed for any other reason — the delivered property did not
+     satisfy the requirement, or a child goal found no plan within its
+     budget. *)
   type disposition =
     | Kept of M.Cost.t (* full plan cost when the candidate completed *)
     | Pruned_candidate of { limit : M.Cost.t; margin : M.Cost.t }
-    | Pruned_subgoal of {
-        subgoal : group;
-        subgoal_required : M.Pprop.t;
-        limit : M.Cost.t;
-        margin : M.Cost.t;
-      }
     | Abandoned
 
   (* One row of the candidate log: a physical candidate (or enforcer
@@ -255,7 +250,7 @@ module Make (M : MODEL) = struct
     pc_seq : int;
     pc_group : group; (* canonical at record time; re-canonicalize on read *)
     pc_required : M.Pprop.t;
-    pc_rule : string;
+    pc_rule : int; (* rule-table id *)
     pc_mexpr : int; (* packed mexpr id implementing it; -1 for enforcer offers *)
     pc_alg : M.Alg.t;
     pc_local_cost : M.Cost.t;
@@ -269,11 +264,9 @@ module Make (M : MODEL) = struct
      by [pv_cap] with an explicit drop counter so truncated lineage is
      never silently presented as complete. *)
   type prov = {
-    pm_rule : int Vec.t; (* interned trule id, -1 = root intern *)
+    pm_rule : int Vec.t; (* rule-table id of the producing trule, -1 = root intern *)
     pm_parent : int Vec.t; (* packed mexpr id the rule fired on, -1 = none *)
     pm_seq : int Vec.t; (* global firing sequence number *)
-    pr_names : string Vec.t;
-    pr_index : (string, int) Hashtbl.t;
     pv_cands : prov_cand Vec.t;
     pv_cap : int;
     mutable pv_dropped : int;
@@ -295,7 +288,7 @@ module Make (M : MODEL) = struct
     pending_unions : (int * int) Queue.t;
     mutable in_union : bool;
     ms : mutable_stats;
-    rule_tbl : (string, rule_counter) Hashtbl.t;
+    rules : rule_stat array; (* indexed by rule id *)
     mutable generation : int;
         (* bumped whenever the logical memo changes (new mexpr or group
            merge); physical-memo entries from an older generation may be
@@ -312,29 +305,15 @@ module Make (M : MODEL) = struct
            types; violations raise [Type_violation] *)
   }
 
-  let rule_counter ctx name =
-    match Hashtbl.find_opt ctx.rule_tbl name with
-    | Some c -> c
-    | None ->
-      let c = { rc_tried = 0; rc_fired = 0 } in
-      Hashtbl.add ctx.rule_tbl name c;
-      c
-
   let rule_counters ctx =
-    Hashtbl.fold (fun name c acc -> (name, c.rc_tried, c.rc_fired) :: acc) ctx.rule_tbl []
+    Array.fold_left
+      (fun acc r -> if r.r_tried > 0 then (r.r_name, r.r_tried, r.r_fired) :: acc else acc)
+      [] ctx.rules
     |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
   let closure_complete ctx = ctx.ms.s_closure_complete
 
   let provenance_on ctx = ctx.prov <> None
-
-  let prov_rule_id p name =
-    match Hashtbl.find_opt p.pr_index name with
-    | Some id -> id
-    | None ->
-      let id = Vec.push p.pr_names name in
-      Hashtbl.add p.pr_index name id;
-      id
 
   let prov_next_seq p =
     let s = p.p_seq in
@@ -660,7 +639,6 @@ module Make (M : MODEL) = struct
 
   type irule = {
     i_name : string;
-    i_promise : int;
     i_apply : ctx -> required:M.Pprop.t -> mexpr -> candidate list;
   }
 
@@ -690,7 +668,6 @@ module Make (M : MODEL) = struct
     trule_tried : int;
     candidates : int;
     pruned_candidates : int;
-    pruned_subgoals : int;
     enforcer_uses : int;
     phys_memo_hits : int;
     closure_steps : int;
@@ -741,20 +718,20 @@ module Make (M : MODEL) = struct
       ctx.ms.s_closure_steps <- ctx.ms.s_closure_steps + 1;
       let g, m, mid = Queue.pop queue in
       List.iter
-        (fun rule ->
+        (fun (rid, rule) ->
           ctx.ms.s_trule_tried <- ctx.ms.s_trule_tried + 1;
-          let counter = rule_counter ctx rule.t_name in
-          counter.rc_tried <- counter.rc_tried + 1;
+          let counter = ctx.rules.(rid) in
+          counter.r_tried <- counter.r_tried + 1;
           (match ctx.tracer with
           | None -> ()
-          | Some f -> f (Trule_tried { rule = rule.t_name; group = find ctx g }));
+          | Some f -> f (Trule_tried { rule = counter.r_name; group = find ctx g }));
           (* Firing context: every mexpr interned while this rule's builds
              are processed (interior nodes included) is attributed to the
              rule and the mexpr it fired on. *)
           (match ctx.prov with
           | None -> ()
           | Some p ->
-            p.p_rule <- prov_rule_id p rule.t_name;
+            p.p_rule <- rid;
             p.p_parent <- mid);
           let builds = rule.t_apply ctx m in
           List.iter
@@ -765,10 +742,10 @@ module Make (M : MODEL) = struct
                    merge them. *)
                 let g' = intern_build spec ctx queue b in
                 if find ctx g <> find ctx g' then begin
-                  counter.rc_fired <- counter.rc_fired + 1;
+                  counter.r_fired <- counter.r_fired + 1;
                   match ctx.tracer with
                   | None -> ()
-                  | Some f -> f (Trule_fired { rule = rule.t_name; group = find ctx g })
+                  | Some f -> f (Trule_fired { rule = counter.r_name; group = find ctx g })
                 end;
                 union ctx g g'
               | Node (op, children) ->
@@ -779,10 +756,10 @@ module Make (M : MODEL) = struct
                 (match add_mexpr ctx g m' with
                 | Some entry ->
                   ctx.ms.s_trule_fired <- ctx.ms.s_trule_fired + 1;
-                  counter.rc_fired <- counter.rc_fired + 1;
+                  counter.r_fired <- counter.r_fired + 1;
                   (match ctx.tracer with
                   | None -> ()
-                  | Some f -> f (Trule_fired { rule = rule.t_name; group = find ctx g }));
+                  | Some f -> f (Trule_fired { rule = counter.r_name; group = find ctx g }));
                   Queue.add entry queue
                 | None -> ()))
             builds)
@@ -810,8 +787,8 @@ module Make (M : MODEL) = struct
 
   let cost_le a b = M.Cost.compare a b <= 0
 
-  (* Bound checks that *discard* work (prune a candidate, skip a
-     subgoal, refuse to return a memoized plan) tolerate [Cost.slack]
+  (* Bound checks that *discard* work (prune a candidate, refuse to
+     return a memoized plan) tolerate [Cost.slack]
      over the limit: limits are propagated through [Cost.sub], whose
      rounding drifts from the exact algebraic value by ulps, and an
      exact check at the boundary would make the bounded search drop
@@ -867,7 +844,7 @@ module Make (M : MODEL) = struct
       | None -> ()
       | Some p -> (Vec.get p.pv_cands idx).pc_disposition <- d
 
-  let optimize_physical ctx ~memo ~enabled_irules ~enabled_enforcers ~pruning ~guided
+  let optimize_physical ctx ~memo ~enabled_irules ~enabled_enforcers ~pruning
       ~initial_limit ~root ~required =
     let find_entry g p = Hashtbl.find_opt memo (phys_key ctx g p) in
     let add_entry g p e = Hashtbl.add memo (phys_key ctx g p) e in
@@ -941,22 +918,7 @@ module Make (M : MODEL) = struct
                 | Some p when pidx >= 0 -> Hashtbl.replace p.pv_winners goal_key pidx
                 | Some _ | None -> ())
             in
-            (* Guided mode may skip a subgoal outright when the budget
-               left after the candidate's own cost is already negative:
-               any child plan has non-negative cost, so the candidate is
-               provably dominated and the subgoal is never expanded. The
-               exhaustive mode reaches the same conclusion by recursing
-               into the subgoal and failing — same winner, more work. *)
-            let subgoal_dominated remaining =
-              guided && pruning && M.Cost.compare (M.Cost.add remaining M.Cost.slack) M.Cost.zero < 0
-            in
-            let prune_subgoal child cprops =
-              ctx.ms.s_pruned_subgoals <- ctx.ms.s_pruned_subgoals + 1;
-              match ctx.tracer with
-              | None -> ()
-              | Some f -> f (Subgoal_pruned { group = find ctx child; required = cprops })
-            in
-            let try_candidate (cand, pidx) =
+            let try_candidate cand pidx =
               ctx.ms.s_candidates <- ctx.ms.s_candidates + 1;
               if M.Pprop.satisfies ~delivered:cand.cand_delivers ~required then begin
                 let limit0 = current_limit () in
@@ -979,23 +941,10 @@ module Make (M : MODEL) = struct
                   let rec opt_children acc_cost acc_plans = function
                     | [] -> Some (List.rev acc_plans, acc_cost)
                     | (child, cprops) :: rest -> (
-                      let remaining = M.Cost.sub (current_limit ()) acc_cost in
-                      if subgoal_dominated remaining then begin
-                        prune_subgoal child cprops;
-                        prov_set ctx pidx
-                          (Pruned_subgoal
-                             { subgoal = find ctx child;
-                               subgoal_required = cprops;
-                               limit = current_limit ();
-                               margin = M.Cost.sub M.Cost.zero remaining });
-                        None
-                      end
-                      else
-                        match optimize child cprops remaining with
-                        | None -> None
-                        | Some cplan ->
-                          opt_children (M.Cost.add acc_cost cplan.cost) (cplan :: acc_plans)
-                            rest)
+                      match optimize child cprops (M.Cost.sub (current_limit ()) acc_cost) with
+                      | None -> None
+                      | Some cplan ->
+                        opt_children (M.Cost.add acc_cost cplan.cost) (cplan :: acc_plans) rest)
                   in
                   match opt_children cand.cand_cost [] cand.cand_inputs with
                   | None -> ()
@@ -1009,25 +958,20 @@ module Make (M : MODEL) = struct
                 end
               end
             in
-            (* Candidates are produced rule by rule (promise order, when
-               guided); guided search then costs them cheapest-local-cost
-               first, so the branch-and-bound limit tightens before the
-               expensive alternatives are considered. *)
-            let deferred = ref [] in
             List.iter
               (fun m ->
                 let m_pid =
                   match ctx.prov with None -> -1 | Some _ -> prov_mexpr_id ctx m
                 in
                 List.iter
-                  (fun (ir : irule) ->
-                    let counter = rule_counter ctx ir.i_name in
-                    counter.rc_tried <- counter.rc_tried + 1;
+                  (fun (rid, (ir : irule)) ->
+                    let counter = ctx.rules.(rid) in
+                    counter.r_tried <- counter.r_tried + 1;
                     (match ctx.tracer with
                     | None -> ()
-                    | Some f -> f (Irule_tried { rule = ir.i_name; group = g }));
+                    | Some f -> f (Irule_tried { rule = counter.r_name; group = g }));
                     let cands = ir.i_apply ctx ~required m in
-                    counter.rc_fired <- counter.rc_fired + List.length cands;
+                    counter.r_fired <- counter.r_fired + List.length cands;
                     List.iter
                       (fun cand ->
                         (match ctx.tracer with
@@ -1035,72 +979,51 @@ module Make (M : MODEL) = struct
                         | Some f ->
                           f
                             (Candidate_costed
-                               { rule = ir.i_name;
+                               { rule = counter.r_name;
                                  group = g;
                                  alg = cand.cand_alg;
                                  cost = cand.cand_cost }));
-                        let pidx =
-                          prov_log ctx ~group:g ~required ~rule:ir.i_name ~mexpr:m_pid
-                            ~alg:cand.cand_alg ~local_cost:cand.cand_cost
-                            ~inputs:cand.cand_inputs
-                        in
-                        if guided then deferred := (cand, pidx) :: !deferred
-                        else try_candidate (cand, pidx))
+                        try_candidate cand
+                          (prov_log ctx ~group:g ~required ~rule:rid ~mexpr:m_pid
+                             ~alg:cand.cand_alg ~local_cost:cand.cand_cost
+                             ~inputs:cand.cand_inputs))
                       cands)
                   enabled_irules)
               (group_exprs ctx g);
-            if guided then
-              List.stable_sort
-                (fun (a, _) (b, _) -> M.Cost.compare a.cand_cost b.cand_cost)
-                (List.rev !deferred)
-              |> List.iter try_candidate;
             (* Enforcers: achieve [required] by gluing a property-enforcing
                algorithm on top of a plan for weaker requirements. *)
             List.iter
-              (fun (en : enforcer) ->
-                let counter = rule_counter ctx en.e_name in
-                counter.rc_tried <- counter.rc_tried + 1;
+              (fun (rid, (en : enforcer)) ->
+                let counter = ctx.rules.(rid) in
+                counter.r_tried <- counter.r_tried + 1;
                 (match ctx.tracer with
                 | None -> ()
-                | Some f -> f (Enforcer_tried { rule = en.e_name; group = g }));
+                | Some f -> f (Enforcer_tried { rule = counter.r_name; group = g }));
                 let offers = en.e_apply ctx ~required g in
-                counter.rc_fired <- counter.rc_fired + List.length offers;
+                counter.r_fired <- counter.r_fired + List.length offers;
                 List.iter
                   (fun (alg, weaker, ecost) ->
                     (match ctx.tracer with
                     | None -> ()
                     | Some f ->
-                      f (Enforcer_offered { rule = en.e_name; group = g; alg; cost = ecost }));
+                      f
+                        (Enforcer_offered
+                           { rule = counter.r_name; group = g; alg; cost = ecost }));
                     let pidx =
-                      prov_log ctx ~group:g ~required ~rule:en.e_name ~mexpr:(-1) ~alg
+                      prov_log ctx ~group:g ~required ~rule:rid ~mexpr:(-1) ~alg
                         ~local_cost:ecost
                         ~inputs:[ (g, weaker) ]
                     in
-                    let remaining = M.Cost.sub (current_limit ()) ecost in
-                    if subgoal_dominated remaining then begin
-                      prov_set ctx pidx
-                        (Pruned_subgoal
-                           { subgoal = g;
-                             subgoal_required = weaker;
-                             limit = current_limit ();
-                             margin = M.Cost.sub M.Cost.zero remaining });
-                      prune_subgoal g weaker
-                    end
-                    else
-                      match optimize g weaker remaining with
+                    match optimize g weaker (M.Cost.sub (current_limit ()) ecost) with
+                    | None -> ()
+                    | Some sub ->
+                      ctx.ms.s_enforcer_uses <- ctx.ms.s_enforcer_uses + 1;
+                      (match ctx.tracer with
                       | None -> ()
-                      | Some sub ->
-                        ctx.ms.s_enforcer_uses <- ctx.ms.s_enforcer_uses + 1;
-                        (match ctx.tracer with
-                        | None -> ()
-                        | Some f -> f (Enforcer_inserted { group = g; alg }));
-                        let total = M.Cost.add ecost sub.cost in
-                        prov_set ctx pidx (Kept total);
-                        consider pidx
-                          { alg;
-                            children = [ sub ];
-                            cost = total;
-                            delivered = required })
+                      | Some f -> f (Enforcer_inserted { group = g; alg }));
+                      let total = M.Cost.add ecost sub.cost in
+                      prov_set ctx pidx (Kept total);
+                      consider pidx { alg; children = [ sub ]; cost = total; delivered = required })
                   offers)
               enabled_enforcers;
             entry.best <- !best;
@@ -1139,11 +1062,10 @@ module Make (M : MODEL) = struct
      expanded, costed and pruned once. *)
   type session = {
     ss_spec : spec;
-    ss_trules : trule list;
-    ss_irules : irule list;
-    ss_enforcers : enforcer list;
+    ss_trules : (int * trule) list; (* enabled rules with their rule-table ids *)
+    ss_irules : (int * irule) list;
+    ss_enforcers : (int * enforcer) list;
     ss_pruning : bool;
-    ss_guided : bool;
     ss_closure_fuel : int option; (* budget over the whole session's closure steps *)
     ss_spans : Span.t option; (* search-phase spans; None is the nil-sink fast path *)
     ss_ctx : ctx;
@@ -1152,10 +1074,32 @@ module Make (M : MODEL) = struct
 
   let default_provenance_cap = 1 lsl 20
 
-  let session ?(disabled = []) ?(pruning = true) ?(guided = false) ?closure_fuel ?trace
-      ?spans ?typing ?(provenance = false) ?(provenance_cap = default_provenance_cap)
-      spec =
-    let enabled name = not (List.mem name disabled) in
+  let session ?(disabled = []) ?(pruning = true) ?closure_fuel ?trace ?spans ?typing
+      ?(provenance = false) ?(provenance_cap = default_provenance_cap) spec =
+    (* Number the enabled rules densely, one id per distinct name. *)
+    let ids = Hashtbl.create 32 and names = ref [] in
+    let number name_of rules =
+      List.filter_map
+        (fun r ->
+          let name = name_of r in
+          if List.mem name disabled then None
+          else
+            match Hashtbl.find_opt ids name with
+            | Some id -> Some (id, r)
+            | None ->
+              let id = Hashtbl.length ids in
+              Hashtbl.add ids name id;
+              names := name :: !names;
+              Some (id, r))
+        rules
+    in
+    let trules = number (fun r -> r.t_name) spec.transformations in
+    let irules = number (fun r -> r.i_name) spec.implementations in
+    let enforcers = number (fun r -> r.e_name) spec.enforcers in
+    let rules =
+      Array.of_list
+        (List.rev_map (fun r_name -> { r_name; r_tried = 0; r_fired = 0 }) !names)
+    in
     let prov =
       if not provenance then None
       else
@@ -1163,8 +1107,6 @@ module Make (M : MODEL) = struct
           { pm_rule = Vec.create ~capacity:256 ();
             pm_parent = Vec.create ~capacity:256 ();
             pm_seq = Vec.create ~capacity:256 ();
-            pr_names = Vec.create ~capacity:32 ();
-            pr_index = Hashtbl.create 32;
             pv_cands = Vec.create ~capacity:256 ();
             pv_cap = provenance_cap;
             pv_dropped = 0;
@@ -1189,30 +1131,21 @@ module Make (M : MODEL) = struct
             s_trule_tried = 0;
             s_candidates = 0;
             s_pruned_candidates = 0;
-            s_pruned_subgoals = 0;
             s_enforcer_uses = 0;
             s_phys_memo_hits = 0;
             s_closure_steps = 0;
             s_closure_complete = true };
-        rule_tbl = Hashtbl.create 32;
+        rules;
         generation = 0;
         tracer = trace;
         prov;
         typing }
     in
-    let irules = List.filter (fun r -> enabled r.i_name) spec.implementations in
     { ss_spec = spec;
-      ss_trules = List.filter (fun r -> enabled r.t_name) spec.transformations;
-      ss_irules =
-        (* guided search applies rules in promise order (highest first, ties
-           keep registration order), so cheap/high-yield algorithms tighten
-           the branch-and-bound limit before expensive ones are costed *)
-        (if guided then
-           List.stable_sort (fun a b -> Int.compare b.i_promise a.i_promise) irules
-         else irules);
-      ss_enforcers = List.filter (fun r -> enabled r.e_name) spec.enforcers;
+      ss_trules = trules;
+      ss_irules = irules;
+      ss_enforcers = enforcers;
       ss_pruning = pruning;
-      ss_guided = guided;
       ss_closure_fuel = closure_fuel;
       ss_spans = spans;
       ss_ctx = ctx;
@@ -1240,7 +1173,6 @@ module Make (M : MODEL) = struct
       trule_tried = ctx.ms.s_trule_tried;
       candidates = ctx.ms.s_candidates;
       pruned_candidates = ctx.ms.s_pruned_candidates;
-      pruned_subgoals = ctx.ms.s_pruned_subgoals;
       enforcer_uses = ctx.ms.s_enforcer_uses;
       phys_memo_hits = ctx.ms.s_phys_memo_hits;
       closure_steps = ctx.ms.s_closure_steps;
@@ -1258,15 +1190,14 @@ module Make (M : MODEL) = struct
         ~args:[ ("root_group", Json.Int (find ctx root)) ]
         (fun () ->
           optimize_physical ctx ~memo:s.ss_phys ~enabled_irules:s.ss_irules
-            ~enabled_enforcers:s.ss_enforcers ~pruning:s.ss_pruning ~guided:s.ss_guided
-            ~initial_limit ~root:(find ctx root) ~required)
+            ~enabled_enforcers:s.ss_enforcers ~pruning:s.ss_pruning ~initial_limit ~root:(find ctx root) ~required)
     in
     { plan; stats = snapshot_stats ctx; root = find ctx root; ctx }
 
-  let run ?disabled ?pruning ?guided ?(initial_limit = M.Cost.infinite) ?closure_fuel
-      ?trace ?spans ?typing ?provenance ?provenance_cap spec expr ~required =
+  let run ?disabled ?pruning ?(initial_limit = M.Cost.infinite) ?closure_fuel ?trace ?spans
+      ?typing ?provenance ?provenance_cap spec expr ~required =
     let s =
-      session ?disabled ?pruning ?guided ?closure_fuel ?trace ?spans ?typing ?provenance
+      session ?disabled ?pruning ?closure_fuel ?trace ?spans ?typing ?provenance
         ?provenance_cap spec
     in
     let root = register s expr in
@@ -1314,7 +1245,7 @@ module Make (M : MODEL) = struct
             lin_group = find ctx mx.mx_group;
             lin_op = Vec.get ctx.ops mx.mx_op;
             lin_inputs = Array.to_list (canon_inputs ctx mx.mx_inputs);
-            lin_rule = (if rule_id < 0 then None else Some (Vec.get p.pr_names rule_id));
+            lin_rule = (if rule_id < 0 then None else Some ctx.rules.(rule_id).r_name);
             lin_parent = (if parent < 0 then None else Some parent);
             lin_seq = Vec.get p.pm_seq idx;
             lin_alive = mx.mx_alive }
@@ -1338,7 +1269,7 @@ module Make (M : MODEL) = struct
         else
           let rule_id = Vec.get p.pm_rule idx in
           let acc =
-            if rule_id < 0 then acc else Vec.get p.pr_names rule_id :: acc
+            if rule_id < 0 then acc else ctx.rules.(rule_id).r_name :: acc
           in
           let parent = Vec.get p.pm_parent idx in
           if parent < 0 then acc else walk acc parent
@@ -1351,7 +1282,7 @@ module Make (M : MODEL) = struct
       cr_seq = c.pc_seq;
       cr_group = find ctx c.pc_group;
       cr_required = c.pc_required;
-      cr_rule = c.pc_rule;
+      cr_rule = ctx.rules.(c.pc_rule).r_name;
       cr_mexpr = (if c.pc_mexpr < 0 then None else Some c.pc_mexpr);
       cr_alg = c.pc_alg;
       cr_local_cost = c.pc_local_cost;

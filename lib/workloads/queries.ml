@@ -65,8 +65,8 @@ let fig3 =
 (* Not from the paper: an n-way self-join chain over Employees, adjacent
    bindings linked by name equality. join-assoc and join-commute expand
    it into the full bushy join space, so memo size and optimization time
-   grow steeply with [width] — the scaling workload for the guided
-   search. *)
+   grow steeply with [width] — the scaling workload for the search
+   benchmarks. *)
 let join_chain width =
   if width < 2 then invalid_arg "Queries.join_chain: width must be >= 2";
   let get i = Logical.get ~coll:"Employees" ~binding:(Printf.sprintf "j%d" i) in

@@ -180,27 +180,6 @@ let test_pruning_equivalence () =
         (Cost.total on))
     Q.all
 
-let test_guided_equivalence () =
-  (* the guided (promise-ordered, cost-bounded) search must find winners
-     with exactly the exhaustive winner's cost, on every workload query,
-     against both the bare and the indexed catalog, with and without a
-     wide join chain in the mix *)
-  let queries = Q.all @ [ ("chain6", Q.join_chain 6) ] in
-  List.iter
-    (fun (cname, mk_cat) ->
-      List.iter
-        (fun (name, q) ->
-          let exhaustive = Opt.cost (Opt.optimize (mk_cat ()) q) in
-          let guided =
-            Opt.cost
-              (Opt.optimize ~options:(Options.with_guided Options.default) (mk_cat ()) q)
-          in
-          Alcotest.(check (float 0.0))
-            (Printf.sprintf "%s on %s catalog: guided == exhaustive winner cost" name cname)
-            (Cost.total exhaustive) (Cost.total guided))
-        queries)
-    [ ("bare", OC.catalog); ("indexed", OC.catalog_with_indexes) ]
-
 let test_rule_subsets_never_improve () =
   List.iter
     (fun rule ->
@@ -330,7 +309,6 @@ let () =
         [ Alcotest.test_case "optimization time" `Quick test_optimization_time;
           Alcotest.test_case "ill-formed rejected" `Quick test_ill_formed_rejected;
           Alcotest.test_case "pruning preserves optimum" `Quick test_pruning_equivalence;
-          Alcotest.test_case "guided preserves optimum" `Quick test_guided_equivalence;
           Alcotest.test_case "rule subsets never improve" `Quick test_rule_subsets_never_improve;
           Alcotest.test_case "explain output" `Quick test_explain_output;
           Alcotest.test_case "heuristic guidance seeding" `Quick test_heuristic_guidance;

@@ -111,23 +111,6 @@ let test_fingerprint_sensitivity () =
   let cat2 = OC.catalog () in
   distinct "catalog content splits entries" (fp cat Q.q2) (fp cat2 Q.q2)
 
-let test_fingerprint_guided_meta () =
-  (* guided search is meta — it changes how fast the winner is found,
-     never which winner — so it must share plan-cache entries with the
-     exhaustive configuration *)
-  let cat = OC.catalog_with_indexes () in
-  Alcotest.(check bool) "guided on/off share the fingerprint" true
-    (Fingerprint.equal (fp cat Q.q1)
-       (fp ~options:(Options.with_guided Options.default) cat Q.q1));
-  Alcotest.(check bool) "guided+required order still splits on order" false
-    (Fingerprint.equal (fp cat Q.q3)
-       (fp
-          ~options:(Options.with_guided Options.default)
-          ~required:
-            { Physprop.empty with
-              Physprop.order = Some { Physprop.ord_binding = "c"; ord_field = Some "name" } }
-          cat Q.q3))
-
 let test_fingerprint_epoch () =
   let cat = OC.catalog_with_indexes () in
   let before = fp cat Q.q1 in
@@ -292,7 +275,17 @@ let test_disk_persistence () =
   let pc3 = Plancache.create ~dir () in
   let o = Plancache.optimize pc3 cat Q.q1 in
   Alcotest.(check bool) "corrupt entry re-optimized" false o.Plancache.cached;
-  check_same_plan "and identical to the cold plan" cold.Plancache.plan o.Plancache.plan
+  check_same_plan "and identical to the cold plan" cold.Plancache.plan o.Plancache.plan;
+  (* an entry filed under the previous format tag is a miss, never a
+     plan: v3 stats had a different layout *)
+  let entry = List.hd (Plancache.entries pc1) in
+  let oc = open_out_bin file in
+  Marshal.to_channel oc ("oodb-plancache-v3", entry) [];
+  close_out oc;
+  let pc4 = Plancache.create ~dir () in
+  Alcotest.(check bool) "v3-tagged entry is a miss" true
+    (Plancache.lookup pc4 (fp cat Q.q1) = None);
+  Alcotest.(check int) "counted as a miss" 1 (Plancache.stats pc4).Plancache.misses
 
 (* The disk tier revalidates entries before serving them (a stale plan
    unmarshals fine but may no longer typecheck against the live
@@ -515,8 +508,7 @@ let () =
             test_fingerprint_conjunct_order;
           Alcotest.test_case "sensitivity to plan-relevant inputs" `Quick
             test_fingerprint_sensitivity;
-          Alcotest.test_case "catalog epoch & statistics" `Quick test_fingerprint_epoch;
-          Alcotest.test_case "guided flag is meta" `Quick test_fingerprint_guided_meta ] );
+          Alcotest.test_case "catalog epoch & statistics" `Quick test_fingerprint_epoch ] );
       ( "fuzz",
         [ Alcotest.test_case "fingerprint properties over random queries" `Quick
             test_fuzz_fingerprints;

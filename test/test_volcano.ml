@@ -105,7 +105,6 @@ let sorter_cost = 8.0
 
 let impl_leaf =
   { E.i_name = "impl-leaf";
-    i_promise = 10;
     i_apply =
       (fun _ctx ~required m ->
         match m.E.mop with
@@ -123,7 +122,6 @@ let impl_leaf =
 
 let impl_cat =
   { E.i_name = "impl-cat";
-    i_promise = 5;
     i_apply =
       (fun _ctx ~required m ->
         match m.E.mop, m.E.minputs with
@@ -264,38 +262,23 @@ let test_rule_counters_sorted () =
   Alcotest.(check bool) "bit-identical across identical runs" true
     (counters = E.rule_counters r'.E.ctx)
 
-let test_guided_equivalence () =
-  (* guided search (promise-ordered rules, cost-sorted candidates,
-     bound-propagating subgoals) must return a winner with exactly the
-     exhaustive winner's cost, for every required-property goal *)
-  let exprs =
-    [ leaf "ab";
-      cat (leaf "a") (leaf "b");
-      cat (cat (leaf "a") (leaf "b")) (cat (leaf "c") (leaf "d"));
-      cat (leaf "a") (cat (leaf "bc") (leaf "d")) ]
+let test_rule_table () =
+  (* one counter row per distinct enabled rule name: disabled rules never
+     appear, and two rules sharing a name share one row *)
+  let e = cat (leaf "a") (leaf "b") in
+  let counters r = E.rule_counters r.E.ctx in
+  let names r = List.map (fun (n, _, _) -> n) (counters r) in
+  let off = E.run ~disabled:[ "commute"; "sorter" ] (spec ()) e ~required:true in
+  Alcotest.(check (list string)) "disabled rules absent" [ "impl-cat"; "impl-leaf" ] (names off);
+  let renamed = { impl_cat with E.i_name = "impl-leaf" } in
+  let shared =
+    E.run { (spec ()) with E.implementations = [ impl_leaf; renamed ] } e ~required:false
   in
-  List.iter
-    (fun required ->
-      List.iter
-        (fun e ->
-          let exhaustive = E.run ~guided:false (spec ()) e ~required in
-          let guided = E.run ~guided:true (spec ()) e ~required in
-          Alcotest.(check (float 0.0)) "identical winner cost" (plan_cost exhaustive)
-            (plan_cost guided);
-          Alcotest.(check bool) "guided expands no more candidates" true
-            (guided.E.stats.E.candidates <= exhaustive.E.stats.E.candidates))
-        exprs)
-    [ false; true ]
-
-let test_guided_prunes_subgoals () =
-  (* with a finite initial limit the guided search's bound propagation
-     refuses dominated subgoals outright *)
-  let e = cat (cat (leaf "a") (leaf "b")) (cat (leaf "c") (leaf "d")) in
-  let exhaustive = E.run ~guided:false (spec ()) e ~required:true in
-  let guided = E.run ~guided:true (spec ()) e ~required:true in
-  Alcotest.(check (float 0.0)) "identical winner cost" (plan_cost exhaustive) (plan_cost guided);
-  Alcotest.(check bool) "guided records pruning work" true
-    (guided.E.stats.E.pruned_candidates + guided.E.stats.E.pruned_subgoals > 0)
+  let base = E.run (spec ()) e ~required:false in
+  let row name r = List.find (fun (n, _, _) -> n = name) (counters r) in
+  let _, t_leaf, f_leaf = row "impl-leaf" base and _, t_cat, f_cat = row "impl-cat" base in
+  Alcotest.(check bool) "shared name aggregates both rules" true
+    (row "impl-leaf" shared = ("impl-leaf", t_leaf + t_cat, f_leaf + f_cat))
 
 let () =
   Alcotest.run "volcano"
@@ -316,7 +299,5 @@ let () =
       ( "representation",
         [ Alcotest.test_case "packed id round trips" `Quick test_packed_ids;
           Alcotest.test_case "rule counters sorted & deterministic" `Quick
-            test_rule_counters_sorted ] );
-      ( "guided",
-        [ Alcotest.test_case "guided == exhaustive winner cost" `Quick test_guided_equivalence;
-          Alcotest.test_case "guided prunes dominated work" `Quick test_guided_prunes_subgoals ] ) ]
+            test_rule_counters_sorted;
+          Alcotest.test_case "dense rule table" `Quick test_rule_table ] ) ]
