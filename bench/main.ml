@@ -315,61 +315,101 @@ let ablation_guidance () =
 (* How optimization time and memo size grow with join width under the
    default branch-and-bound search. One cold run per width: at these
    scales the signal is orders of magnitude, not microseconds. *)
-let scale_widths = [ 4; 6; 8; 10 ]
+let scale_widths = [ 4; 6; 8; 10; 12; 16; 20 ]
+
+(* Join-graph shapes of the sweep: the query, its widths, and its number
+   of connected join subplans — exactly the memo's group count, since
+   the closure enumerates those and nothing else. A star's connected
+   subplans are its centre with any subset of the rest, so its widths
+   stop where 2^(n-1) groups stop being a smoke test. *)
+let scale_shapes =
+  [ ("chain", Q.join_chain, scale_widths, fun n -> n * (n + 1) / 2);
+    ("cycle", Q.join_cycle, scale_widths, fun n -> (n * (n - 1)) + 1);
+    ("star", Q.join_star, [ 4; 6; 8; 10; 12 ], fun n -> (1 lsl (n - 1)) + n - 1) ]
+
+let connected_subplans shape width =
+  List.find_map
+    (fun (name, _, _, count) -> if name = shape then Some (count width) else None)
+    scale_shapes
+  |> Option.get
 
 let search_scale_measurements () =
-  List.map
-    (fun width ->
-      let q = Q.join_chain width in
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      let o = Opt.optimize cat q in
-      let seconds = Unix.gettimeofday () -. t0 in
-      let st = o.Opt.stats in
-      { History.s_width = width;
-        s_opt_seconds = seconds;
-        s_groups = st.Engine.groups;
-        s_mexprs = st.Engine.mexprs;
-        s_candidates = st.Engine.candidates;
-        s_pruned = st.Engine.pruned_candidates })
-    scale_widths
+  List.concat_map
+    (fun (shape, query, widths, _) ->
+      List.map
+        (fun width ->
+          let q = query width in
+          Gc.full_major ();
+          let t0 = Unix.gettimeofday () in
+          let o = Opt.optimize cat q in
+          let seconds = Unix.gettimeofday () -. t0 in
+          let st = o.Opt.stats in
+          { History.s_shape = shape;
+            s_width = width;
+            s_opt_seconds = seconds;
+            s_groups = st.Engine.groups;
+            s_mexprs = st.Engine.mexprs;
+            s_candidates = st.Engine.candidates;
+            s_pruned = st.Engine.pruned_candidates })
+        widths)
+    scale_shapes
 
 let pp_search_scale rows =
-  Format.printf "%6s %12s %8s %8s %8s %8s@." "width" "opt [s]" "groups" "mexprs" "plans"
-    "pruned";
+  Format.printf "%6s %6s %12s %8s %8s %8s %8s@." "shape" "width" "opt [s]" "groups" "mexprs"
+    "plans" "pruned";
   List.iter
     (fun (s : History.scale_rec) ->
-      Format.printf "%6d %12.3f %8d %8d %8d %8d@." s.History.s_width s.History.s_opt_seconds
-        s.History.s_groups s.History.s_mexprs s.History.s_candidates s.History.s_pruned)
+      Format.printf "%6s %6d %12.3f %8d %8d %8d %8d@." s.History.s_shape s.History.s_width
+        s.History.s_opt_seconds s.History.s_groups s.History.s_mexprs s.History.s_candidates
+        s.History.s_pruned)
     rows
 
 let search_scale () =
-  section "Wide-join scaling: branch-and-bound search over n-way join chains";
+  section "Wide-join scaling: branch-and-bound search over n-way chains, cycles and stars";
   let rows = search_scale_measurements () in
   pp_search_scale rows;
   rows
 
-(* Standalone CI smoke mode: run the sweep and fail if the widest chain
-   blew the time budget (OODB_SCALE_BUDGET seconds, default 120). *)
+(* Standalone CI smoke mode: run the sweep and fail if any query blew
+   the time budget (OODB_SCALE_BUDGET seconds, default 10) or its memo
+   holds other than one group per connected join subplan. A budget that
+   is not a positive number is an error, not a silent default. *)
 let search_scale_gate () =
   let budget =
     match Sys.getenv_opt "OODB_SCALE_BUDGET" with
-    | Some s -> (try float_of_string s with _ -> 120.0)
-    | None -> 120.0
+    | None -> Ok 10.0
+    | Some s -> (
+      match float_of_string_opt (String.trim s) with
+      | Some b when Float.is_finite b && b > 0.0 -> Ok b
+      | _ -> Error s)
   in
-  let rows = search_scale () in
-  let worst =
-    List.fold_left (fun m (s : History.scale_rec) -> Float.max m s.History.s_opt_seconds) 0.0
-      rows
-  in
-  if worst > budget then begin
-    Format.printf "FAIL: slowest width took %.1fs (budget %.1fs)@." worst budget;
+  match budget with
+  | Error s ->
+    Format.eprintf "error: OODB_SCALE_BUDGET %S: expected a positive number of seconds@." s;
     1
-  end
-  else begin
-    Format.printf "ok: slowest width took %.1fs (budget %.1fs)@." worst budget;
-    0
-  end
+  | Ok budget ->
+    let rows = search_scale () in
+    let worst =
+      List.fold_left
+        (fun m (s : History.scale_rec) -> Float.max m s.History.s_opt_seconds)
+        0.0 rows
+    in
+    let miscounted =
+      List.filter
+        (fun (s : History.scale_rec) ->
+          s.History.s_groups <> connected_subplans s.History.s_shape s.History.s_width)
+        rows
+    in
+    List.iter
+      (fun (s : History.scale_rec) ->
+        Format.printf "FAIL: %s%d has %d groups, expected %d connected subplans@."
+          s.History.s_shape s.History.s_width s.History.s_groups
+          (connected_subplans s.History.s_shape s.History.s_width))
+      miscounted;
+    if worst > budget then
+      Format.printf "FAIL: slowest query took %.2fs (budget %.1fs)@." worst budget
+    else Format.printf "ok: slowest query took %.2fs (budget %.1fs)@." worst budget;
+    if worst > budget || miscounted <> [] then 1 else 0
 
 let ablation_warm_start () =
   section "Extension: Lesson-7 warm-start assembly (opt-in; beyond the paper)";
@@ -639,32 +679,40 @@ let feedback_loop () =
 
 (* Provenance overhead and why-not smoke ------------------------------ *)
 
-(* Optimizer wall time on the width-8 chain join with provenance
-   recording on (the default) vs off, min over interleaved trials. The
+(* Optimizer CPU time on the width-16 chain join with provenance
+   recording on (the default) vs off, min over interleaved trials, with
+   the minor-heap words each allocates (deterministic) beside it. The
    5% gate is advisory (report-only): the number lands in the history
    record so drifts are visible, but a noisy CI box never fails on it. *)
 let provenance_overhead_budget_pct = 5.0
 
 let provenance_overhead ?(trials = 5) () =
-  let q = Q.join_chain 8 in
-  (* CPU time, not wall time: the diff of two ~0.2s measurements is
+  let q = Q.join_chain 16 in
+  (* CPU time, not wall time: the diff of two short measurements is
      exactly where scheduler jitter would otherwise dominate the
      statistic. *)
   let time options =
     Gc.full_major ();
+    let w0 = Gc.minor_words () in
     let t0 = Sys.time () in
     ignore (Opt.optimize ~options cat q);
-    Sys.time () -. t0
+    (Sys.time () -. t0, Gc.minor_words () -. w0)
   in
-  let on = ref infinity and off = ref infinity in
+  let on = ref infinity and off = ref infinity and words_on = ref 0. and words_off = ref 0. in
   for _ = 1 to trials do
-    off := Float.min !off (time (Options.without_provenance Options.default));
-    on := Float.min !on (time Options.default)
+    let t, w = time (Options.without_provenance Options.default) in
+    off := Float.min !off t;
+    words_off := w;
+    let t, w = time Options.default in
+    on := Float.min !on t;
+    words_on := w
   done;
   let pct = if !off > 0. then 100. *. (!on -. !off) /. !off else Float.nan in
   Format.printf
-    "provenance overhead (chain-8, min of %d): on %.4fs vs off %.4fs = %+.1f%%%s@."
-    trials !on !off pct
+    "provenance overhead (chain-16, min of %d): on %.4fs vs off %.4fs = %+.1f%%; minor words \
+     on %.0f vs off %.0f = %+.1f%%%s@."
+    trials !on !off pct !words_on !words_off
+    (100. *. (!words_on -. !words_off) /. Float.max 1. !words_off)
     (if pct > provenance_overhead_budget_pct then
        Printf.sprintf "  WARNING: over the %.0f%% budget (report-only)"
          provenance_overhead_budget_pct

@@ -29,6 +29,7 @@ let cfg = Config.default
 (* 1. A new logical transformation: Select [x == x] (A) => A. *)
 let select_elimination =
   { Engine.t_name = "select-elimination";
+    t_roots = [ Logical.kind (Logical.Select []) ];
     t_apply =
       (fun _ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -41,10 +42,10 @@ let select_elimination =
           else []
         | _ -> []) }
 
-let spec_with_rule =
+let spec_with_rule q =
   let base =
     { Engine.derive_lprop = Estimator.derive cfg cat;
-      transformations = Open_oodb.Trules.all cfg cat;
+      transformations = Open_oodb.Trules.all cfg cat (Open_oodb.Trules.join_graph [ q ]);
       implementations = Open_oodb.Irules.all cfg cat;
       enforcers = Open_oodb.Enforcers.all cfg cat }
   in
@@ -60,7 +61,7 @@ let () =
   in
   Format.printf "query with a tautological conjunct:@.%a@.@." Logical.pp q;
   let result =
-    Engine.run spec_with_rule (Open_oodb.Model.expr_of_logical q) ~required:Physprop.empty
+    Engine.run (spec_with_rule q) (Open_oodb.Model.expr_of_logical q) ~required:Physprop.empty
   in
   (match result.Engine.plan with
   | Some plan ->
@@ -79,7 +80,7 @@ let () =
     |> Logical.select
          [ Pred.atom Pred.Ge (Pred.Field ("c", "population")) (Pred.Const (Value.Int 5000)) ]
   in
-  let result = Engine.run spec_with_rule (Open_oodb.Model.expr_of_logical q2) ~required:sorted in
+  let result = Engine.run (spec_with_rule q2) (Open_oodb.Model.expr_of_logical q2) ~required:sorted in
   match result.Engine.plan with
   | Some plan ->
     Format.printf "@.requesting output sorted by c.name (sort enforcer appears):@.%a@."

@@ -23,6 +23,20 @@ let arity = function
   | Select _ | Project _ | Mat _ | Unnest _ -> 1
   | Join _ | Cross | Union | Intersect | Difference -> 2
 
+let kinds = 10
+
+let kind = function
+  | Get _ -> 0
+  | Select _ -> 1
+  | Project _ -> 2
+  | Join _ -> 3
+  | Cross -> 4
+  | Mat _ -> 5
+  | Unnest _ -> 6
+  | Union -> 7
+  | Intersect -> 8
+  | Difference -> 9
+
 let node op inputs =
   if List.length inputs <> arity op then invalid_arg "Logical: wrong arity";
   { op; inputs }

@@ -62,6 +62,13 @@ val difference : t -> t -> t
 
 val arity : op -> int
 
+val kind : op -> int
+(** The operator's constructor, its arguments ignored, as a dense tag
+    from 0 to [kinds - 1]: the key transformation rules are dispatched
+    on. *)
+
+val kinds : int
+
 (** {1 Structure} *)
 
 val equal : t -> t -> bool

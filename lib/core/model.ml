@@ -7,6 +7,10 @@ module M = struct
 
     let arity = Logical.arity
 
+    let kind = Logical.kind
+
+    let kinds = Logical.kinds
+
     let equal (a : t) (b : t) = Stdlib.compare a b = 0
 
     let hash (t : t) = Hashtbl.hash t

@@ -12,10 +12,12 @@ type outcome = {
   root : Engine.group;
 }
 
-let spec (options : Options.t) cat =
+(* The rule set depends on the queries: join-assoc reads their join
+   graph to keep the cross products they ask for and no others. *)
+let spec (options : Options.t) cat queries =
   let cfg = options.Options.config in
   { Engine.derive_lprop = Estimator.derive cfg cat;
-    transformations = Trules.all cfg cat;
+    transformations = Trules.all cfg cat (Trules.join_graph queries);
     implementations = Irules.all cfg cat;
     enforcers = Enforcers.all cfg cat }
 
@@ -46,7 +48,7 @@ let lint options cat ~required plan =
 let optimize ?(options = Options.default) ?(required = Physprop.empty)
     ?(initial_limit = Cost.infinite) ?closure_fuel ?trace ?spans cat expr =
   let expr = prepare options cat expr in
-  let spec = spec options cat in
+  let spec = spec options cat [ expr ] in
   let t0 = Sys.time () in
   let result =
     Oodb_util.Span.with_span spans ~cat:"optimizer" "optimize" (fun () ->
@@ -63,7 +65,8 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty)
     root = result.Engine.root }
 
 let optimize_batch ?(options = Options.default) ?closure_fuel ?trace ?spans cat queries =
-  let spec = spec options cat in
+  let queries = List.map (fun (q, required) -> (prepare options cat q, required)) queries in
+  let spec = spec options cat (List.map fst queries) in
   let s =
     Engine.session ~disabled:options.Options.disabled ~pruning:options.Options.pruning
       ~provenance:options.Options.provenance ?closure_fuel ?trace ?spans
@@ -77,7 +80,6 @@ let optimize_batch ?(options = Options.default) ?closure_fuel ?trace ?spans cat 
   let roots =
     List.map
       (fun (q, _required) ->
-        let q = prepare options cat q in
         let t0 = Sys.time () in
         let root = Engine.register s (expr_of_logical q) in
         (root, Sys.time () -. t0))

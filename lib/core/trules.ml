@@ -25,11 +25,84 @@ let mat_target cat ctx g (src : string) (field : string option) =
     | None -> Some cls
     | Some field -> Schema.follow (Catalog.schema cat) ~cls field)
 
+(* Join graph ---------------------------------------------------------- *)
+
+(* One map per query, from each binding to its component's
+   representative. The nodes are the bindings that Get, Mat and Unnest
+   introduce; every predicate atom over two or more bindings, in a
+   Select or a Join, is an edge; a Mat or Unnest output is linked to
+   its source. *)
+type join_graph = (string, string) Hashtbl.t list
+
+let components (q : Logical.t) =
+  let parent = Hashtbl.create 16 in
+  let rec find b =
+    match Hashtbl.find_opt parent b with
+    | None ->
+      Hashtbl.add parent b b;
+      b
+    | Some p when p = b -> b
+    | Some p ->
+      let root = find p in
+      Hashtbl.replace parent b root;
+      root
+  in
+  let link a b =
+    let ra = find a and rb = find b in
+    if ra <> rb then Hashtbl.replace parent ra rb
+  in
+  let link_atom a =
+    match Pred.bindings_of_atom a with [] -> () | b :: bs -> List.iter (link b) bs
+  in
+  let rec walk (t : Logical.t) =
+    (match t.Logical.op with
+    | Logical.Get { binding; _ } -> ignore (find binding)
+    | Logical.Mat { src; out; _ } | Logical.Unnest { src; out; _ } -> link src out
+    | Logical.Select p | Logical.Join p -> List.iter link_atom p
+    | Logical.Project _ | Logical.Cross | Logical.Union | Logical.Intersect
+    | Logical.Difference -> ());
+    List.iter walk t.Logical.inputs
+  in
+  walk q;
+  let comp = Hashtbl.create (Hashtbl.length parent) in
+  Hashtbl.iter (fun b _ -> Hashtbl.replace comp b (find b)) parent;
+  comp
+
+let join_graph queries = List.map components queries
+
+(* Is a cross product of scopes [sb] and [sc] one the input asked for?
+   It is when no component has bindings on both sides. Several queries
+   can share one memo, so it is kept unless every query that binds all
+   of [sb] and [sc] links the two sides. *)
+let cross_wanted (graph : join_graph) sb sc =
+  let covers comp = List.for_all (Hashtbl.mem comp) sb && List.for_all (Hashtbl.mem comp) sc in
+  let linked comp =
+    List.exists
+      (fun b ->
+        let k = Hashtbl.find comp b in
+        List.exists (fun c -> Hashtbl.find comp c = k) sc)
+      sb
+  in
+  let covering = List.filter covers graph in
+  covering = [] || not (List.for_all linked covering)
+
 (* Rules -------------------------------------------------------------- *)
+
+(* Root operator kinds the rules dispatch on. *)
+let on ops = List.map Logical.kind ops
+
+let on_select = on [ Logical.Select [] ]
+
+let on_join = on [ Logical.Join [] ]
+
+let on_mat = on [ Logical.Mat { src = ""; field = None; out = "" } ]
+
+let on_setop = on [ Logical.Union; Logical.Intersect ]
 
 (* Select (Select x) => Select' x : merge stacked selections. *)
 let select_merge =
   { Engine.t_name = "select-merge";
+    t_roots = on_select;
     t_apply =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -51,6 +124,7 @@ let select_merge =
    into an index scan while the rest stays a filter above it. *)
 let select_split =
   { Engine.t_name = "select-split";
+    t_roots = on_select;
     t_apply =
       (fun _ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -68,6 +142,7 @@ let select_split =
    materialized binding. *)
 let select_push_mat =
   { Engine.t_name = "select-push-mat";
+    t_roots = on_select;
     t_apply =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -94,6 +169,7 @@ let select_push_mat =
 (* Select (Unnest x) => Unnest (Select x), likewise. *)
 let select_push_unnest =
   { Engine.t_name = "select-push-unnest";
+    t_roots = on_select;
     t_apply =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -121,6 +197,7 @@ let select_push_unnest =
    conjuncts down, merge two-sided conjuncts into the join predicate. *)
 let select_push_join =
   { Engine.t_name = "select-push-join";
+    t_roots = on_select;
     t_apply =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -152,6 +229,7 @@ let select_push_join =
    tie: the first input of a hash join builds the table. *)
 let join_commute =
   { Engine.t_name = "join-commute";
+    t_roots = on [ Logical.Join []; Logical.Cross ];
     t_apply =
       (fun _ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -162,26 +240,33 @@ let join_commute =
         | _ -> []) }
 
 (* Join (Join (A, B), C) => Join (A, Join (B, C)), redistributing the
-   combined predicate by scope. *)
-let join_assoc =
+   combined predicate by scope. The closure enumerates connected
+   subplans only: an inner join of B and C with no predicate is built
+   only when the input's join graph asks for that cross product. *)
+let join_assoc graph =
   { Engine.t_name = "join-assoc";
+    t_roots = on_join;
     t_apply =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
         | Logical.Join p1, [ gl; gr ] ->
+          let sc = scope_of ctx gr in
           Engine.group_exprs ctx gl
           |> List.filter_map (fun (m' : Engine.mexpr) ->
                  match m'.Engine.mop, m'.Engine.minputs with
                  | Logical.Join p2, [ ga; gb ] ->
-                   let inner_scope = scope_of ctx gb @ scope_of ctx gr in
-                   let inner, outer = split_by_scope (p1 @ p2) inner_scope in
-                   let inner = Pred.normalize inner and outer = Pred.normalize outer in
-                   Some
-                     (Engine.Node
-                        ( Logical.Join outer,
-                          [ Engine.Ref ga;
-                            Engine.Node (Logical.Join inner, [ Engine.Ref gb; Engine.Ref gr ])
-                          ] ))
+                   let sb = scope_of ctx gb in
+                   let inner, outer = split_by_scope (p1 @ p2) (sb @ sc) in
+                   if inner = [] && not (cross_wanted graph sb sc) then None
+                   else
+                     Some
+                       (Engine.Node
+                          ( Logical.Join (Pred.normalize outer),
+                            [ Engine.Ref ga;
+                              Engine.Node
+                                ( Logical.Join (Pred.normalize inner),
+                                  [ Engine.Ref gb; Engine.Ref gr ] )
+                            ] ))
                  | _ -> None)
         | _ -> []) }
 
@@ -190,6 +275,7 @@ let join_assoc =
    materialize operator can be transformed into a join" (paper §3). *)
 let mat_to_join cat =
   { Engine.t_name = "mat-to-join";
+    t_roots = on_mat;
     t_apply =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -216,6 +302,7 @@ let mat_to_join cat =
    of mat-to-join, re-establishing pointer traversal as an alternative. *)
 let join_to_mat =
   { Engine.t_name = "join-to-mat";
+    t_roots = on_join;
     t_apply =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -245,6 +332,7 @@ let join_to_mat =
 (* Mat m1 (Mat m2 X) => Mat m2 (Mat m1 X), when independent. *)
 let mat_commute =
   { Engine.t_name = "mat-commute";
+    t_roots = on_mat;
     t_apply =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -263,6 +351,7 @@ let mat_commute =
    reference on the side that introduces its source. *)
 let mat_push_join =
   { Engine.t_name = "mat-push-join";
+    t_roots = on_mat;
     t_apply =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -286,6 +375,7 @@ let mat_push_join =
    that does not consume its output. *)
 let mat_pull_join =
   { Engine.t_name = "mat-pull-join";
+    t_roots = on_join;
     t_apply =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -307,6 +397,7 @@ let mat_pull_join =
 (* Union/Intersect (A, B) => (B, A). *)
 let setop_commute =
   { Engine.t_name = "setop-commute";
+    t_roots = on_setop;
     t_apply =
       (fun _ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -317,6 +408,7 @@ let setop_commute =
 (* Union (Union (A, B), C) => Union (A, Union (B, C)). *)
 let setop_assoc =
   { Engine.t_name = "setop-assoc";
+    t_roots = on_setop;
     t_apply =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -333,14 +425,14 @@ let setop_assoc =
                  | _ -> None)
         | _ -> []) }
 
-let all _cfg cat =
+let all _cfg cat graph =
   [ select_merge;
     select_split;
     select_push_mat;
     select_push_unnest;
     select_push_join;
     join_commute;
-    join_assoc;
+    join_assoc graph;
     mat_to_join cat;
     join_to_mat;
     mat_commute;

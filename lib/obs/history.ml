@@ -15,6 +15,7 @@ type query_rec = {
 }
 
 type scale_rec = {
+  s_shape : string;  (* join-graph shape: chain, cycle or star *)
   s_width : int;
   s_opt_seconds : float;  (* one cold run of the default search *)
   s_groups : int;
@@ -52,7 +53,8 @@ let query_json q =
 
 let scale_json s =
   Json.Obj
-    [ ("width", Json.Int s.s_width);
+    [ ("shape", Json.String s.s_shape);
+      ("width", Json.Int s.s_width);
       ("opt_seconds", Json.float s.s_opt_seconds);
       ("memo_groups", Json.Int s.s_groups);
       ("memo_mexprs", Json.Int s.s_mexprs);
@@ -109,6 +111,10 @@ let query_of_json j =
        q_groups; q_rules_fired; q_mean_qerror }
 
 let scale_of_json j =
+  (* Records before the star and cycle sweeps measured chains only. *)
+  let* s_shape =
+    match Json.member "shape" j with None -> Ok "chain" | Some _ -> field "shape" to_string_opt j
+  in
   let* s_width = field "width" Json.to_int j in
   (* Older records also carry "exhaustive_seconds"; it is ignored. *)
   let* s_opt_seconds = field "opt_seconds" Json.to_float j in
@@ -116,7 +122,7 @@ let scale_of_json j =
   let* s_mexprs = field "memo_mexprs" Json.to_int j in
   let* s_candidates = field "plans" Json.to_int j in
   let* s_pruned = field "pruned" Json.to_int j in
-  Ok { s_width; s_opt_seconds; s_groups; s_mexprs; s_candidates; s_pruned }
+  Ok { s_shape; s_width; s_opt_seconds; s_groups; s_mexprs; s_candidates; s_pruned }
 
 let rec all_ok = function
   | [] -> Ok []
@@ -283,12 +289,14 @@ let compare_records ?(threshold = default_threshold)
     @ List.concat_map
         (fun (ns : scale_rec) ->
           match
-            List.find_opt (fun os -> os.s_width = ns.s_width) old_rec.r_search_scale
+            List.find_opt
+              (fun os -> os.s_shape = ns.s_shape && os.s_width = ns.s_width)
+              old_rec.r_search_scale
           with
           | None -> []
           | Some os ->
             [ delta
-                (Printf.sprintf "chain%d" ns.s_width)
+                (Printf.sprintf "%s%d" ns.s_shape ns.s_width)
                 "opt_seconds" os.s_opt_seconds ns.s_opt_seconds ])
         new_rec.r_search_scale
   in

@@ -38,7 +38,10 @@ type query_rec = {
 }
 
 type scale_rec = {
-  s_width : int;  (** join-chain width (number of joined collections) *)
+  s_shape : string;
+      (** join-graph shape: ["chain"], ["cycle"] or ["star"]; records
+          without the field measured chains and load as ["chain"] *)
+  s_width : int;  (** join width (number of joined collections) *)
   s_opt_seconds : float;  (** one cold optimization under the default search *)
   s_groups : int;
   s_mexprs : int;
@@ -46,7 +49,7 @@ type scale_rec = {
   s_pruned : int;  (** candidates refused by branch-and-bound *)
 }
 (** One row of the wide-join scaling sweep: how optimization time and
-    memo size grow with join width. Older records also carry an
+    memo size grow with join width, per join-graph shape. Older records also carry an
     [exhaustive_seconds] field; loading ignores it. *)
 
 type record = {
@@ -57,8 +60,9 @@ type record = {
   r_queries : query_rec list;
   r_search_scale : scale_rec list;  (** [[]] on v1/v2 records *)
   r_provenance_overhead_pct : float;
-      (** optimizer wall-time overhead of provenance recording on the
-          width-8 chain join, in percent (min over trials, on vs off);
+      (** optimizer CPU-time overhead of provenance recording on the
+          width-16 chain join (width 8 before the closure enumerated
+          connected subplans only), in percent (min over trials, on vs off);
           [nan] (encoded [null]) on v1–v3 records and unmeasured runs.
           Advisory: the bench warns past 5% but never fails on it. *)
   r_whynot_smoke : (string * float) list;

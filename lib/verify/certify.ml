@@ -148,7 +148,24 @@ let setop_queries =
     ("setop-intersect", Logical.intersect young rich);
     ("setop-difference", Logical.difference young named) ]
 
-let corpus = Queries.all @ setop_queries
+(* The paper's Figure 1 query in algebra form: two extents joined on
+   the reference link [e.dept == d]. join-to-mat turns such a join back
+   into pointer traversal. The paper workload offers it only the joins
+   mat-to-join builds, which it merely reverses; the one new join it
+   used to fire on (in fig2) sat over a cross product the query did not
+   ask for, which the closure no longer builds. *)
+let reflink_queries =
+  let atom cmp l r = { Pred.cmp; lhs = l; rhs = r } in
+  [ ( "fig1-join",
+      Logical.join
+        [ atom Pred.Eq (Pred.Field ("e", "dept")) (Pred.Self "d") ]
+        (Logical.get ~coll:"Employees" ~binding:"e")
+        (Logical.get ~coll:"Departments" ~binding:"d")
+      |> Logical.select
+           [ atom Pred.Eq (Pred.Field ("d", "floor")) (Pred.Const (Value.Int 3));
+             atom Pred.Ge (Pred.Field ("e", "age")) (Pred.Const (Value.Int 32)) ] ) ]
+
+let corpus = Queries.all @ setop_queries @ reflink_queries
 
 (* ------------------------------------------------------------------ *)
 (* Harvesting transformation-rule instances from the memo               *)
@@ -213,16 +230,28 @@ let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.fin
 
 (* A rule that raises instead of declining has an incomplete
    applicability guard; record the exception and treat the application
-   as producing nothing so harvesting survives. *)
+   as producing nothing so harvesting survives. So does a rule that
+   produces alternatives on an operator outside its declared roots: the
+   closure never offers it that operator, so those alternatives would
+   be silently lost. *)
 let guarded h (r : Engine.trule) =
+  let flag msg =
+    if not (Hashtbl.mem h.h_guard_errors r.Engine.t_name) then
+      Hashtbl.add h.h_guard_errors r.Engine.t_name msg
+  in
   { r with
     Engine.t_apply =
       (fun ctx m ->
-        try r.Engine.t_apply ctx m
-        with e ->
-          if not (Hashtbl.mem h.h_guard_errors r.Engine.t_name) then
-            Hashtbl.add h.h_guard_errors r.Engine.t_name (Printexc.to_string e);
-          []) }
+        match r.Engine.t_apply ctx m with
+        | exception e ->
+          flag (Printexc.to_string e);
+          []
+        | builds ->
+          if builds <> [] && not (List.mem (Logical.kind m.Engine.mop) r.Engine.t_roots) then
+            flag
+              (Format.asprintf "fired on %a, outside its declared root operators"
+                 Logical.pp_op m.Engine.mop);
+          builds) }
 
 let record_instance h ~max_instances rule inst =
   let existing = Option.value ~default:[] (Hashtbl.find_opt h.h_instances rule) in
@@ -239,7 +268,7 @@ let record_instance h ~max_instances rule inst =
    only — physical search is irrelevant here and a broken rule must not
    be masked by it), then sweep the final memo re-applying every rule to
    every multi-expression. *)
-let harvest_trules ~cfg ~cat ~disabled ~trules ~max_instances queries =
+let harvest_trules ~cfg ~cat ~disabled ~trules_of ~max_instances queries =
   let h =
     { h_instances = Hashtbl.create 32;
       h_guard_errors = Hashtbl.create 8;
@@ -247,16 +276,19 @@ let harvest_trules ~cfg ~cat ~disabled ~trules ~max_instances queries =
       h_pingpong = Hashtbl.create 8;
       h_fired = Hashtbl.create 32 }
   in
-  let trules = List.map (guarded h) trules in
-  let enabled = List.filter (fun (r : Engine.trule) -> not (List.mem r.Engine.t_name disabled)) trules in
-  let spec =
-    { Engine.derive_lprop = Estimator.derive cfg cat;
-      transformations = trules;
-      implementations = [];
-      enforcers = [] }
-  in
   List.iter
     (fun (_qname, q) ->
+      (* the rule set is per query: join-assoc reads the query's join graph *)
+      let trules = List.map (guarded h) (trules_of q) in
+      let enabled =
+        List.filter (fun (r : Engine.trule) -> not (List.mem r.Engine.t_name disabled)) trules
+      in
+      let spec =
+        { Engine.derive_lprop = Estimator.derive cfg cat;
+          transformations = trules;
+          implementations = [];
+          enforcers = [] }
+      in
       let s = Engine.session ~disabled spec in
       let _root = Engine.register s (Model.expr_of_logical q) in
       let ctx = Engine.session_ctx s in
@@ -378,8 +410,7 @@ let denotational_check dbs inst =
   in
   go 0 dbs
 
-let certify_trule ~cfg ~cat ~dbs h (r : Engine.trule) =
-  let name = r.Engine.t_name in
+let certify_trule ~cfg ~cat ~dbs h name =
   let instances = List.rev (Option.value ~default:[] (Hashtbl.find_opt h.h_instances name)) in
   let n = List.length instances in
   let checks = n * List.length dbs in
@@ -553,11 +584,15 @@ let run ?(options = Options.default) ?(extra_trules = fun _ _ -> []) ?dbs ?(quer
     if options.Options.normalize then List.map (fun (n, q) -> (n, Argtrans.expr q)) queries
     else queries
   in
-  let trules = Trules.all cfg cat @ extra_trules cfg cat in
+  let trules_of q = Trules.all cfg cat (Trules.join_graph [ q ]) @ extra_trules cfg cat in
   let h =
-    harvest_trules ~cfg ~cat ~disabled:options.Options.disabled ~trules ~max_instances queries
+    harvest_trules ~cfg ~cat ~disabled:options.Options.disabled ~trules_of ~max_instances
+      queries
   in
-  let logical_reports = List.map (certify_trule ~cfg ~cat ~dbs h) trules in
+  let names =
+    Trules.names @ List.map (fun (r : Engine.trule) -> r.Engine.t_name) (extra_trules cfg cat)
+  in
+  let logical_reports = List.map (certify_trule ~cfg ~cat ~dbs h) names in
   let phys_reports = if physical then certify_physical ~options ~dbs ~queries () else [] in
   let reports = logical_reports @ phys_reports in
   let dead =

@@ -80,7 +80,8 @@ val corpus : (string * Oodb_algebra.Logical.t) list
 (** Default certification corpus: the paper workload
     ({!Oodb_workloads.Queries.all}) plus synthetic set-operation
     queries, without which setop-commute and setop-assoc would go
-    unexercised. *)
+    unexercised, and the paper's Figure 1 join of two extents on a
+    reference link, which join-to-mat needs. *)
 
 val run :
   ?options:Open_oodb.Options.t ->

@@ -9,6 +9,10 @@ module type MODEL = sig
 
     val arity : t -> int
 
+    val kind : t -> int
+
+    val kinds : int
+
     val equal : t -> t -> bool
 
     val hash : t -> int
@@ -627,6 +631,7 @@ module Make (M : MODEL) = struct
 
   type trule = {
     t_name : string;
+    t_roots : int list;
     t_apply : ctx -> mexpr -> build list;
   }
 
@@ -710,7 +715,10 @@ module Make (M : MODEL) = struct
     intern_build spec ctx queue
       (Node (op, List.map (fun e -> Ref (intern_expr spec ctx queue e)) children))
 
-  let closure ?fuel spec ctx queue ~enabled_trules =
+  (* [trules_by_kind.(k)] holds the enabled rules whose roots include
+     operator kind [k]: a popped mexpr is offered only to the rules that
+     can fire on its operator. *)
+  let closure ?fuel spec ctx queue ~trules_by_kind =
     let exhausted () =
       match fuel with None -> false | Some n -> ctx.ms.s_closure_steps >= n
     in
@@ -763,7 +771,7 @@ module Make (M : MODEL) = struct
                   Queue.add entry queue
                 | None -> ()))
             builds)
-        enabled_trules;
+        trules_by_kind.(M.Op.kind m.mop);
       (match ctx.prov with
       | None -> ()
       | Some p ->
@@ -1062,7 +1070,9 @@ module Make (M : MODEL) = struct
      expanded, costed and pruned once. *)
   type session = {
     ss_spec : spec;
-    ss_trules : (int * trule) list; (* enabled rules with their rule-table ids *)
+    ss_trules : (int * trule) list array;
+        (* enabled rules with their rule-table ids, bucketed by root
+           operator kind, each bucket in registration order *)
     ss_irules : (int * irule) list;
     ss_enforcers : (int * enforcer) list;
     ss_pruning : bool;
@@ -1093,7 +1103,18 @@ module Make (M : MODEL) = struct
               Some (id, r))
         rules
     in
-    let trules = number (fun r -> r.t_name) spec.transformations in
+    let trules_by_kind = Array.make M.Op.kinds [] in
+    List.iter
+      (fun ((_, r) as entry) ->
+        List.iter
+          (fun k ->
+            if k < 0 || k >= M.Op.kinds then
+              invalid_arg
+                (Printf.sprintf "Volcano.session: rule %s roots on unknown operator kind %d"
+                   r.t_name k);
+            trules_by_kind.(k) <- entry :: trules_by_kind.(k))
+          (List.sort_uniq Int.compare r.t_roots))
+      (List.rev (number (fun r -> r.t_name) spec.transformations));
     let irules = number (fun r -> r.i_name) spec.implementations in
     let enforcers = number (fun r -> r.e_name) spec.enforcers in
     let rules =
@@ -1142,7 +1163,7 @@ module Make (M : MODEL) = struct
         typing }
     in
     { ss_spec = spec;
-      ss_trules = trules;
+      ss_trules = trules_by_kind;
       ss_irules = irules;
       ss_enforcers = enforcers;
       ss_pruning = pruning;
@@ -1163,7 +1184,7 @@ module Make (M : MODEL) = struct
     Span.with_span s.ss_spans ~cat:"volcano" "logical-closure"
       ~args:[ ("root_group", Json.Int root) ]
       (fun () ->
-        closure ?fuel:s.ss_closure_fuel s.ss_spec ctx queue ~enabled_trules:s.ss_trules);
+        closure ?fuel:s.ss_closure_fuel s.ss_spec ctx queue ~trules_by_kind:s.ss_trules);
     find ctx root
 
   let snapshot_stats ctx =

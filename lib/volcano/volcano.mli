@@ -45,6 +45,13 @@ module type MODEL = sig
 
     val arity : t -> int
 
+    val kind : t -> int
+    (** The operator's constructor, its arguments ignored, as a dense
+        tag from 0 to [kinds - 1]. Transformation rules declare the
+        kinds they can fire on ({!Make.trule}[.t_roots]). *)
+
+    val kinds : int
+
     val equal : t -> t -> bool
 
     val hash : t -> int
@@ -204,6 +211,12 @@ module Make (M : MODEL) : sig
 
   type trule = {
     t_name : string;
+    t_roots : int list;
+        (** operator kinds ({!M.Op.kind}) the rule can fire on: the
+            session buckets the enabled rules by kind once, and the
+            closure offers a multi-expression only to its kind's bucket,
+            so [trule_tried] and [Trule_tried] count applicable tries
+            only. A rule must produce nothing on any other kind. *)
     t_apply : ctx -> mexpr -> build list;
         (** alternatives equivalent to the given multi-expression; the
             engine inserts them into the same group *)
@@ -251,7 +264,7 @@ module Make (M : MODEL) : sig
     groups : int;
     mexprs : int;
     trule_fired : int;  (** transformation applications that added a new mexpr *)
-    trule_tried : int;
+    trule_tried : int;  (** tries of rules rooted on the popped operator's kind *)
     candidates : int;  (** implementation candidates costed *)
     pruned_candidates : int;
         (** candidates whose local cost already exceeded the limit *)
@@ -328,7 +341,9 @@ module Make (M : MODEL) : sig
       derive an equal type, and merged groups must agree — and any
       failure raises {!Type_violation} at the exact rule firing that
       caused it. When absent, no types are derived and interning cost is
-      unchanged. *)
+      unchanged.
+      @raise Invalid_argument when an enabled trule roots on a kind
+      outside [0 .. M.Op.kinds - 1]. *)
 
   val session_ctx : session -> ctx
 

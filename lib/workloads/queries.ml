@@ -62,19 +62,28 @@ let fig3 =
   |> Logical.unnest ~out:"m" ~src:"t" ~field:"team_members"
   |> Logical.mat_ref ~out:"e" ~src:"m"
 
-(* Not from the paper: an n-way self-join chain over Employees, adjacent
-   bindings linked by name equality. join-assoc and join-commute expand
-   it into the full bushy join space, so memo size and optimization time
-   grow steeply with [width] — the scaling workload for the search
-   benchmarks. *)
-let join_chain width =
-  if width < 2 then invalid_arg "Queries.join_chain: width must be >= 2";
+(* Not from the paper: n-way self-joins over Employees, bindings
+   [j0 .. j(n-1)] linked by name equality — the scaling workloads for
+   the search benchmarks. Each is built left-deep; [preds width i] are
+   the atoms joining [j(i)] to the bindings before it. *)
+let self_join ~name ~min_width preds width =
+  if width < min_width then
+    invalid_arg (Printf.sprintf "Queries.%s: width must be >= %d" name min_width);
   let get i = Logical.get ~coll:"Employees" ~binding:(Printf.sprintf "j%d" i) in
-  let link i = eq (field (Printf.sprintf "j%d" (i - 1)) "name") (field (Printf.sprintf "j%d" i) "name") in
   let rec build acc i =
-    if i >= width then acc else build (Logical.join [ link i ] acc (get i)) (i + 1)
+    if i >= width then acc else build (Logical.join (preds width i) acc (get i)) (i + 1)
   in
   build (get 0) 1
+
+let link i k = eq (field (Printf.sprintf "j%d" i) "name") (field (Printf.sprintf "j%d" k) "name")
+
+let join_chain = self_join ~name:"join_chain" ~min_width:2 (fun _ i -> [ link (i - 1) i ])
+
+let join_star = self_join ~name:"join_star" ~min_width:2 (fun _ i -> [ link 0 i ])
+
+let join_cycle =
+  self_join ~name:"join_cycle" ~min_width:3 (fun width i ->
+      if i = width - 1 then [ link (i - 1) i; link i 0 ] else [ link (i - 1) i ])
 
 let all =
   [ ("q1", q1); ("q2", q2); ("q3", q3); ("q4", q4); ("fig2", fig2); ("fig3", fig3) ]

@@ -41,11 +41,21 @@ val fred : Logical.t
 
 val join_chain : int -> Logical.t
 (** An n-way self-join chain over Employees ([j0.name == j1.name == ...]).
-    Not a paper query: the search-scaling workload — join associativity
-    and commutativity expand an n-way chain into the full bushy join
-    space, so memo size and optimization time grow steeply with the
-    width.
+    Not a paper query: the search-scaling workload. The logical closure
+    enumerates connected join subplans only, so an n-way chain fills
+    n(n+1)/2 memo groups, one per run of adjacent bindings.
     @raise Invalid_argument when the width is below 2. *)
+
+val join_star : int -> Logical.t
+(** An n-way self-join star over Employees: [j0] is linked to each of
+    [j1 .. j(n-1)]. Its connected subplans are [j0] with any subset of
+    the others, so the memo holds 2{^n-1} + n - 1 groups.
+    @raise Invalid_argument when the width is below 2. *)
+
+val join_cycle : int -> Logical.t
+(** {!join_chain} closed into a ring by [j(n-1).name == j0.name]: n(n-1)
+    + 1 connected subplans.
+    @raise Invalid_argument when the width is below 3. *)
 
 val all : (string * Logical.t) list
 (** Named list of everything above. *)

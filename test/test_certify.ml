@@ -98,6 +98,7 @@ let session_with rules =
    memo-wide check exists to stop at the firing, not at plan time. *)
 let renaming_rule =
   { Engine.t_name = "bad-rename-binder";
+    t_roots = [ Logical.kind (Logical.Get { coll = ""; binding = "" }) ];
     t_apply =
       (fun _ctx m ->
         match m.Engine.mop with
@@ -110,7 +111,7 @@ let test_memo_rejects_ill_typed_firing () =
   let cfg = Options.default.Options.config in
   (* sound rules close without a violation, and the whole memo passes
      the offline sweep *)
-  let s = session_with (Trules.all cfg cat') in
+  let s = session_with (Trules.all cfg cat' (Trules.join_graph (List.map snd Queries.all))) in
   List.iter (fun (_, q) -> ignore (Engine.register s (Model.expr_of_logical q))) Queries.all;
   (match Verify.types cat' (Engine.session_ctx s) with
   | Ok () -> ()
@@ -171,6 +172,7 @@ let test_default_rules_certify () =
    the bounded denotational check can refute it. *)
 let dropping_rule _cfg _cat =
   [ { Engine.t_name = "join-drop-conjunct";
+      t_roots = [ Logical.kind (Logical.Join []) ];
       t_apply =
         (fun _ctx m ->
           match m.Engine.mop, m.Engine.minputs with
@@ -205,6 +207,35 @@ let test_unsound_rule_refuted () =
   | s ->
     Alcotest.failf "join-drop-conjunct: expected Refuted, got %s" (Certify.status_name s)
 
+(* A rule that produces alternatives on an operator outside its declared
+   roots: the closure never offers it that operator, so those rewrites
+   would be lost without a trace. The certifier's sweep offers every
+   rule every operator and reports the mismatch. *)
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let misrooted_rule _cfg _cat =
+  [ { Engine.t_name = "select-misrooted";
+      t_roots = [ Logical.kind (Logical.Join []) ];
+      t_apply =
+        (fun _ctx m ->
+          match m.Engine.mop, m.Engine.minputs with
+          | Logical.Select p, [ g ] ->
+            [ Engine.Node (Logical.Select (List.rev p), [ Engine.Ref g ]) ]
+          | _ -> []) } ]
+
+let test_misrooted_rule_refuted () =
+  let report =
+    Certify.run ~extra_trules:misrooted_rule ~physical:false ~queries:[ ("q2", Queries.q2) ] ()
+  in
+  match (find_rule report "select-misrooted").Certify.rr_status with
+  | Certify.Static_refuted m ->
+    Alcotest.(check bool) "names the undeclared root" true
+      (contains m "outside its declared root operators")
+  | s -> Alcotest.failf "select-misrooted: expected Static_refuted, got %s" (Certify.status_name s)
+
 let () =
   Alcotest.run "certify"
     [ ( "typing",
@@ -218,4 +249,6 @@ let () =
         [ Alcotest.test_case "the shipped rule set certifies" `Quick
             test_default_rules_certify;
           Alcotest.test_case "a predicate-dropping join reorder is refuted" `Quick
-            test_unsound_rule_refuted ] ) ]
+            test_unsound_rule_refuted;
+          Alcotest.test_case "a rule firing outside its roots is refuted" `Quick
+            test_misrooted_rule_refuted ] ) ]

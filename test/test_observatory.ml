@@ -269,7 +269,8 @@ let sample_query name opt exec =
     q_mean_qerror = 1.5 }
 
 let sample_scale width opt =
-  { History.s_width = width;
+  { History.s_shape = "chain";
+    s_width = width;
     s_opt_seconds = opt;
     s_groups = 1 lsl width;
     s_mexprs = 100 * width;
@@ -350,7 +351,8 @@ let test_history_roundtrip () =
     | Error e -> Alcotest.fail ("v3 record rejected: " ^ e))
   | _ -> Alcotest.fail "to_json is not an object");
   (* Older lines carry a second, exhaustive time per width (null when a
-     width was skipped); they still load, and the field is ignored. *)
+     width was skipped) and no shape; they still load, the time is
+     ignored and the shape reads as chain. *)
   let with_old_scale_field = function
     | Json.Obj fields ->
       Json.Obj
@@ -361,7 +363,10 @@ let test_history_roundtrip () =
                  Json.List
                    (List.map
                       (function
-                        | Json.Obj f -> Json.Obj (f @ [ ("exhaustive_seconds", Json.Null) ])
+                        | Json.Obj f ->
+                          Json.Obj
+                            (List.filter (fun (k, _) -> k <> "shape") f
+                            @ [ ("exhaustive_seconds", Json.Null) ])
                         | row -> row)
                       rows) )
              | kv -> kv)
@@ -370,7 +375,7 @@ let test_history_roundtrip () =
   in
   (match History.of_json (with_old_scale_field (History.to_json r)) with
   | Ok r' ->
-    Alcotest.(check bool) "exhaustive_seconds ignored on load" true
+    Alcotest.(check bool) "exhaustive_seconds ignored, missing shape reads as chain" true
       (r'.History.r_search_scale = r.History.r_search_scale)
   | Error e -> Alcotest.fail ("record with exhaustive_seconds rejected: " ^ e));
   (* Version gate: a record from the future must be rejected. *)

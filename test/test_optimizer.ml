@@ -13,6 +13,7 @@ module Options = Open_oodb.Options
 module Physical = Open_oodb.Physical
 module Physprop = Open_oodb.Physprop
 module Engine = Open_oodb.Model.Engine
+module Model = Open_oodb.Model
 
 let cat () = OC.catalog_with_indexes ()
 
@@ -280,6 +281,90 @@ let test_deep_path_stress () =
   Helpers.check_same_rows "deep chain equivalence" (Helpers.run_rows db naive)
     (Helpers.run_rows db full)
 
+(* ------------------------------------------------------------------ *)
+(* Join enumeration: connected subplans, cross products on request      *)
+
+let test_chain_connected_groups () =
+  (* one group per run of adjacent bindings: n(n+1)/2 *)
+  for n = 3 to 10 do
+    let o = Opt.optimize (cat ()) (Q.join_chain n) in
+    Alcotest.(check int) (Printf.sprintf "width %d groups" n) (n * (n + 1) / 2)
+      o.Opt.stats.Engine.groups
+  done
+
+(* Winner costs of the chains under the full bushy space, before the
+   closure stopped building cross products (the benchmark's pins). *)
+let chain_pins =
+  [ (3, 3806278.5491806436);
+    (4, 1894564308.8989077);
+    (5, 947273236870.49866);
+    (6, 473632827690682.12);
+    (7, 2.3681641005425392e+17);
+    (8, 1.1840820313259334e+20) ]
+
+let test_chain_pinned_costs () =
+  List.iter
+    (fun (n, pinned) ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "width %d cost" n) pinned
+        (total (plan (Q.join_chain n))))
+    chain_pins
+
+let field b f = Pred.Field (b, f)
+
+let name_eq a b = Pred.atom Pred.Eq (field a "name") (field b "name")
+
+let get coll binding = Logical.get ~coll ~binding
+
+(* Queries whose own predicates leave their ranges apart keep the whole
+   cross-product space: group counts and costs as before the change. *)
+let test_requested_cross_products_kept () =
+  let check name q ~groups ~cost =
+    let o = Opt.optimize (cat ()) q in
+    Alcotest.(check int) (name ^ " groups") groups o.Opt.stats.Engine.groups;
+    Alcotest.(check (float 0.0)) (name ^ " cost") cost (Cost.total (Opt.cost o))
+  in
+  check "three unlinked FROM ranges"
+    (Zql.Simplify.compile_exn (cat ())
+       {| SELECT e.name FROM e IN Employees, d IN Departments, j IN Jobs
+          WHERE e.age >= 60 && d.floor == 3 |})
+    ~groups:18 ~cost:0x1.314f70de147aep+22;
+  check "explicit Cross"
+    (Logical.cross
+       (Logical.join
+          [ Pred.atom Pred.Eq (field "e" "dept") (Pred.Self "d") ]
+          (get "Employees" "e") (get "Departments" "d"))
+       (get "Jobs" "j"))
+    ~groups:5 ~cost:0x1.288d9cf5c28f6p+16
+
+let test_cross_products_only_between_components () =
+  (* components {a, b, c} (a chain) and {x, y}, apart in the query *)
+  let chain =
+    Logical.join [ name_eq "b" "c" ]
+      (Logical.join [ name_eq "a" "b" ] (get "Employees" "a") (get "Employees" "b"))
+      (get "Employees" "c")
+  in
+  let cities = Logical.join [ name_eq "x" "y" ] (get "Cities" "x") (get "Cities" "y") in
+  let o = Opt.optimize (cat ()) (Logical.join [] chain cities) in
+  let component b = if List.mem b [ "a"; "b"; "c" ] then 1 else 2 in
+  let components g = List.sort_uniq compare (List.map component (Model.scope_of o.Opt.memo g)) in
+  let crosses = ref 0 in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun (m : Engine.mexpr) ->
+          match m.Engine.mop, m.Engine.minputs with
+          | Logical.Join [], [ l; r ] ->
+            incr crosses;
+            Alcotest.(check (list int)) "cross product sides share no component" []
+              (List.filter (fun k -> List.mem k (components r)) (components l))
+          | _ -> ())
+        (Engine.group_exprs o.Opt.memo g))
+    (Engine.groups o.Opt.memo);
+  Alcotest.(check bool) "cross products between the components" true (!crosses > 1);
+  (* every subset whose part in each component is connected: 7 * 4 - 1 *)
+  Alcotest.(check int) "groups" 27 o.Opt.stats.Engine.groups;
+  Alcotest.(check (float 0.0)) "cost" 0x1.1a520b0a89d71p+35 (Cost.total (Opt.cost o))
+
 let test_unknown_rule_rejected () =
   Alcotest.check_raises "unknown rule" (Invalid_argument "Options.disable: unknown rule frobnicate")
     (fun () -> ignore (Options.disable "frobnicate" Options.default))
@@ -315,4 +400,11 @@ let () =
           Alcotest.test_case "set operators end-to-end" `Quick test_set_operators_optimize_and_run;
           Alcotest.test_case "cross product" `Quick test_cross_product;
           Alcotest.test_case "deep path stress" `Quick test_deep_path_stress;
-          Alcotest.test_case "unknown rule rejected" `Quick test_unknown_rule_rejected ] ) ]
+          Alcotest.test_case "unknown rule rejected" `Quick test_unknown_rule_rejected ] );
+      ( "join enumeration",
+        [ Alcotest.test_case "chains fill n(n+1)/2 groups" `Quick test_chain_connected_groups;
+          Alcotest.test_case "chain winner costs pinned" `Quick test_chain_pinned_costs;
+          Alcotest.test_case "requested cross products kept" `Quick
+            test_requested_cross_products_kept;
+          Alcotest.test_case "cross products only between components" `Quick
+            test_cross_products_only_between_components ] ) ]

@@ -415,14 +415,14 @@ let test_warm_session_zero_rule_firings () =
   let cat = OC.catalog_with_indexes () in
   let options = Options.default in
   let cfg = options.Options.config in
+  let workload = [ Q.q1; Q.q2; Q.q3; Q.q4 ] in
   let spec =
     { Engine.derive_lprop = Oodb_cost.Estimator.derive cfg cat;
-      transformations = Open_oodb.Trules.all cfg cat;
+      transformations = Open_oodb.Trules.all cfg cat (Open_oodb.Trules.join_graph workload);
       implementations = Open_oodb.Irules.all cfg cat;
       enforcers = Open_oodb.Enforcers.all cfg cat }
   in
   let s = Engine.session ~disabled:options.Options.disabled spec in
-  let workload = [ Q.q1; Q.q2; Q.q3; Q.q4 ] in
   (* the batch discipline: register every root, then solve — searches run
      against the fully-grown memo, so nothing is conservatively
      re-searched on the next pass *)

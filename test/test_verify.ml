@@ -221,10 +221,10 @@ let test_plan_costs_reject_shrinking () =
 (* ------------------------------------------------------------------ *)
 (* Memo consistency: an unsound mock transformation rule is flagged     *)
 
-let spec_with extra cat =
+let spec_with extra cat q =
   let cfg = Config.default in
   { Engine.derive_lprop = Estimator.derive cfg cat;
-    transformations = Open_oodb.Trules.all cfg cat @ extra;
+    transformations = Open_oodb.Trules.all cfg cat (Open_oodb.Trules.join_graph [ q ]) @ extra;
     implementations = Open_oodb.Irules.all cfg cat;
     enforcers = Open_oodb.Enforcers.all cfg cat }
 
@@ -238,6 +238,7 @@ let test_memo_flags_unsound_rule () =
      re-derives from the merged input group. *)
   let bogus =
     { Engine.t_name = "bogus-drop-select";
+      t_roots = [ Logical.kind (Logical.Select []) ];
       t_apply =
         (fun _ctx m ->
           match m.Engine.mop with
@@ -245,7 +246,7 @@ let test_memo_flags_unsound_rule () =
           | _ -> []) }
   in
   let broken =
-    Engine.run (spec_with [ bogus ] cat) (Model.expr_of_logical Q.q1)
+    Engine.run (spec_with [ bogus ] cat Q.q1) (Model.expr_of_logical Q.q1)
       ~required:Physprop.empty
   in
   (match V.memo ~config:Config.default cat broken.Engine.ctx with
@@ -258,7 +259,7 @@ let test_memo_flags_unsound_rule () =
          vs));
   (* the shipped rule set passes on the same query *)
   let sound =
-    Engine.run (spec_with [] cat) (Model.expr_of_logical Q.q1) ~required:Physprop.empty
+    Engine.run (spec_with [] cat Q.q1) (Model.expr_of_logical Q.q1) ~required:Physprop.empty
   in
   match V.memo ~config:Config.default cat sound.Engine.ctx with
   | Ok () -> ()
@@ -275,6 +276,7 @@ let test_divergent_rule_detected () =
      must interrupt the closure and report it *)
   let grow =
     { Engine.t_name = "bogus-grow";
+      t_roots = [ Logical.kind (Logical.Select []) ];
       t_apply =
         (fun _ctx m ->
           match m.Engine.mop with
@@ -283,7 +285,7 @@ let test_divergent_rule_detected () =
           | _ -> []) }
   in
   let r =
-    Engine.run ~closure_fuel:500 (spec_with [ grow ] cat) (Model.expr_of_logical Q.q1)
+    Engine.run ~closure_fuel:500 (spec_with [ grow ] cat Q.q1) (Model.expr_of_logical Q.q1)
       ~required:Physprop.empty
   in
   Alcotest.(check bool) "stats report incomplete closure" false

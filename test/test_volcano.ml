@@ -8,6 +8,10 @@ module Toy = struct
 
     let arity = function Leaf _ -> 0 | Cat -> 2
 
+    let kind = function Leaf _ -> 0 | Cat -> 1
+
+    let kinds = 2
+
     let equal = ( = )
 
     let hash = Hashtbl.hash
@@ -82,6 +86,7 @@ let derive_lprop op inputs =
 (* cat (a, b) => cat (b, a) *)
 let commute =
   { E.t_name = "commute";
+    t_roots = [ 1 ];
     t_apply =
       (fun _ctx m ->
         match m.E.mop, m.E.minputs with
@@ -91,6 +96,7 @@ let commute =
 (* cat (a, b) => a : a lossy rule used to exercise group merging *)
 let left_wins =
   { E.t_name = "left-wins";
+    t_roots = [ 1 ];
     t_apply =
       (fun _ctx m ->
         match m.E.mop, m.E.minputs with
@@ -280,6 +286,20 @@ let test_rule_table () =
   Alcotest.(check bool) "shared name aggregates both rules" true
     (row "impl-leaf" shared = ("impl-leaf", t_leaf + t_cat, f_leaf + f_cat))
 
+let test_root_dispatch () =
+  (* a rule is offered only the multi-expressions of its root kinds:
+     cat(a, b) pops two leaves and two cats *)
+  let declines = { E.t_name = "leaf-noop"; t_roots = [ 0 ]; t_apply = (fun _ _ -> []) } in
+  let r = E.run (spec ~trules:[ commute; declines ] ()) (cat (leaf "a") (leaf "b")) ~required:false in
+  let row name = List.find (fun (n, _, _) -> n = name) (E.rule_counters r.E.ctx) in
+  Alcotest.(check bool) "commute tried on the two cats" true (row "commute" = ("commute", 2, 1));
+  Alcotest.(check bool) "leaf rule tried on the two leaves" true
+    (row "leaf-noop" = ("leaf-noop", 2, 0));
+  Alcotest.(check int) "tries total" 4 r.E.stats.E.trule_tried;
+  Alcotest.check_raises "unknown root kind"
+    (Invalid_argument "Volcano.session: rule bad-root roots on unknown operator kind 2")
+    (fun () -> ignore (E.session (spec ~trules:[ { declines with E.t_name = "bad-root"; t_roots = [ 2 ] } ] ())))
+
 let () =
   Alcotest.run "volcano"
     [ ( "search",
@@ -300,4 +320,5 @@ let () =
         [ Alcotest.test_case "packed id round trips" `Quick test_packed_ids;
           Alcotest.test_case "rule counters sorted & deterministic" `Quick
             test_rule_counters_sorted;
-          Alcotest.test_case "dense rule table" `Quick test_rule_table ] ) ]
+          Alcotest.test_case "dense rule table" `Quick test_rule_table;
+          Alcotest.test_case "trules dispatched by root operator" `Quick test_root_dispatch ] ) ]
