@@ -984,6 +984,11 @@ let json_results ~scale path =
   Format.printf "wrote %s@." path
 
 let () =
+  (match Config.default_batch_size () with
+  | _ -> ()
+  | exception Invalid_argument m ->
+    Format.eprintf "error: %s@." m;
+    exit 1);
   if Array.exists (fun a -> a = "--search-scale") Sys.argv then exit (search_scale_gate ());
   if Array.exists (fun a -> a = "--history") Sys.argv then begin
     append_history ~scale:(search_scale_measurements ()) ();

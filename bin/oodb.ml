@@ -1283,10 +1283,14 @@ let () =
         feedback_cmd; explain_cmd; why_not_cmd; bench_compare_cmd; greedy_cmd;
         analyze_cmd; stats_cmd; lint_cmd; certify_cmd; gen_cmd; effectiveness_cmd ]
   in
-  (* A bad flag value or an unreadable file is a user error: one line on
-     stderr and exit 1, not an uncaught exception. *)
+  (* A bad flag value, a malformed environment variable or an unreadable
+     file is a user error: one line on stderr and exit 1, not an uncaught
+     exception. *)
   exit
-    (try Cmd.eval' ~catch:false main with
+    (try
+       ignore (Oodb_cost.Config.default_batch_size ());
+       Cmd.eval' ~catch:false main
+     with
     | Invalid_argument m | Sys_error m ->
       Format.eprintf "error: %s@." m;
       1)

@@ -60,14 +60,17 @@ let fb_fanout_find t key = fb_find (fun fb -> fb.fb_fanout) t key
 let fb_hits t = match t.feedback with None -> 0 | Some fb -> fb.fb_hits
 
 (* The execution engine's default batch size, shared with the cost
-   model so anticipated CPU tracks the engine actually run. *)
-let default_batch_size =
+   model so anticipated CPU tracks the engine actually run. Read when
+   called, not at module initialisation: a malformed value must reach
+   the executables' error handlers as a one-line error, not abort every
+   program that links this module. *)
+let default_batch_size () =
   match Sys.getenv_opt "OODB_BATCH_SIZE" with
   | None | Some "" -> 64
   | Some s -> (
     match int_of_string_opt s with
     | Some n when n >= 1 -> n
-    | _ -> invalid_arg (Printf.sprintf "OODB_BATCH_SIZE: not a positive integer: %s" s))
+    | _ -> invalid_arg (Printf.sprintf "OODB_BATCH_SIZE %S: expected a positive integer" s))
 
 (* Calibrated against the paper's DECstation 5000/125 era: ~20 ms
    sequential and ~30 ms random page access, ~0.5 ms of CPU per tuple per
@@ -82,7 +85,7 @@ let default =
     assembly_window = 16;
     cpu_tuple = 5.0e-4;
     cpu_call = 2.0e-4;
-    batch_size = default_batch_size;
+    batch_size = (try default_batch_size () with Invalid_argument _ -> 64);
     cpu_pred = 1.0e-4;
     cpu_hash = 5.0e-4;
     memory_bytes = 4 * 1024 * 1024;

@@ -58,12 +58,14 @@ type t = {
 
 val default : t
 (** [default.batch_size] honors the [OODB_BATCH_SIZE] environment
-    variable (default 64).
-    @raise Invalid_argument at module load if it is set but not a
-    positive integer. *)
+    variable (default 64, also when the variable is malformed: the
+    executables reject that through {!default_batch_size} before they
+    do any work). *)
 
-val default_batch_size : int
-(** What [OODB_BATCH_SIZE] resolved to. *)
+val default_batch_size : unit -> int
+(** What [OODB_BATCH_SIZE] resolves to now (64 when unset or empty).
+    @raise Invalid_argument naming the variable and its value when it is
+    set but not a positive integer. *)
 
 val per_tuple : t -> float
 (** Per-tuple CPU seconds of operator overhead with the boundary-call

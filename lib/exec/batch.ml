@@ -12,8 +12,6 @@ let empty = { data = [||]; sel = None }
 
 let of_array data = { data; sel = None }
 
-let of_list l = of_array (Array.of_list l)
-
 let length t = match t.sel with Some s -> Array.length s | None -> Array.length t.data
 
 let is_empty t = length t = 0
@@ -25,12 +23,8 @@ let iter f t =
   | None -> Array.iter f t.data
   | Some s -> Array.iter (fun i -> f t.data.(i)) s
 
-let fold f init t =
-  match t.sel with
-  | None -> Array.fold_left f init t.data
-  | Some s -> Array.fold_left (fun acc i -> f acc t.data.(i)) init s
-
-let to_list t = List.rev (fold (fun acc env -> env :: acc) [] t)
+let to_array t =
+  match t.sel with None -> t.data | Some s -> Array.map (fun i -> t.data.(i)) s
 
 (* Dense output: transformations produce fresh tuples anyway, so there is
    nothing to share with the input's backing array. *)
@@ -58,27 +52,3 @@ let filter p t =
       end
     done);
   if !k = n then t else { data = t.data; sel = Some (Array.sub sel 0 !k) }
-
-let filter_map f t =
-  let out = ref [] in
-  let n = ref 0 in
-  iter
-    (fun env ->
-      match f env with
-      | Some env' ->
-        out := env' :: !out;
-        incr n
-      | None -> ())
-    t;
-  let arr = Array.make !n Env.empty in
-  List.iteri (fun i env -> arr.(!n - 1 - i) <- env) !out;
-  { data = arr; sel = None }
-
-let drop t pos =
-  let n = length t in
-  if pos <= 0 then t
-  else if pos >= n then empty
-  else
-    match t.sel with
-    | Some s -> { data = t.data; sel = Some (Array.sub s pos (n - pos)) }
-    | None -> { data = t.data; sel = Some (Array.init (n - pos) (fun i -> pos + i)) }

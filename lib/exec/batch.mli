@@ -5,7 +5,7 @@
     vector}: filters narrow a batch by listing the surviving indexes
     instead of copying tuples, so predicate chains touch each tuple once
     and allocate no intermediate arrays of environments. Transforming
-    operators ([map], [filter_map]) produce dense batches. *)
+    operators ([map]) produce dense batches. *)
 
 type t
 
@@ -13,8 +13,6 @@ val empty : t
 
 val of_array : Env.t array -> t
 (** The array is owned by the batch; do not mutate it afterwards. *)
-
-val of_list : Env.t list -> t
 
 val length : t -> int
 (** Live (selected) tuples. *)
@@ -26,19 +24,11 @@ val get : t -> int -> Env.t
 
 val iter : (Env.t -> unit) -> t -> unit
 
-val fold : ('a -> Env.t -> 'a) -> 'a -> t -> 'a
-
-val to_list : t -> Env.t list
+val to_array : t -> Env.t array
+(** Live tuples; the backing array itself when nothing is deselected. *)
 
 val map : (Env.t -> Env.t) -> t -> t
 
 val filter : (Env.t -> bool) -> t -> t
 (** Refines the selection vector; the backing array is shared, no tuple
     is copied. Returns the batch unchanged when nothing is dropped. *)
-
-val filter_map : (Env.t -> Env.t option) -> t -> t
-
-val drop : t -> int -> t
-(** [drop t pos] is the batch of live tuples from position [pos] on —
-    the remainder a partially consumed tuple cursor hands back to batch
-    consumers. *)

@@ -5,42 +5,53 @@ exception Not_materialized of string
 
 exception Unbound of string
 
-type slot = { s_oid : Value.oid; s_obj : Store.obj option }
+type t = Store.obj array
 
-type t = (string * slot) list (* in binding order *)
+type layout = { names : string array; objs : bool array }
 
-let empty = []
+(* Allocated at run time so that no other record can be physically equal
+   to it. *)
+let absent = { Store.oid = 0; cls = ""; coll = ""; fields = Array.make 1 ("", Value.Null) }
 
-let bind_obj t b (o : Store.obj) = t @ [ (b, { s_oid = o.Store.oid; s_obj = Some o }) ]
+let reference store oid =
+  match Store.peek store oid with
+  | o -> o
+  | exception Not_found -> { Store.oid; cls = ""; coll = ""; fields = [||] }
 
-let bind_ref t b oid = t @ [ (b, { s_oid = oid; s_obj = None }) ]
+let layout l = { names = Array.of_list (List.map fst l); objs = Array.of_list (List.map snd l) }
 
-let rebind_obj t b (o : Store.obj) =
-  let slot = { s_oid = o.Store.oid; s_obj = Some o } in
-  if List.mem_assoc b t then List.map (fun (b', s) -> if b' = b then (b', slot) else (b', s)) t
-  else t @ [ (b, slot) ]
+let append a b =
+  { names = Array.append a.names b.names; objs = Array.append a.objs b.objs }
 
-let lookup t b = List.assoc_opt b t
+let bindings l = Array.to_list l.names
 
-let oid t b =
-  match lookup t b with Some s -> s.s_oid | None -> raise (Unbound b)
+let index l b =
+  let n = Array.length l.names in
+  let rec go i = if i >= n then -1 else if String.equal l.names.(i) b then i else go (i + 1) in
+  go 0
 
-let obj t b =
-  match lookup t b with
-  | None -> raise (Unbound b)
-  | Some { s_obj = Some o; _ } -> o
-  | Some { s_obj = None; _ } -> raise (Not_materialized b)
+let oid l b =
+  let i = index l b in
+  if i < 0 then fun _ -> raise (Unbound b)
+  else
+    fun (env : t) ->
+      let o = env.(i) in
+      if o == absent then raise (Unbound b) else o.Store.oid
 
-let bindings t = List.map fst t
+let obj l b =
+  let i = index l b in
+  if i < 0 then fun _ -> raise (Unbound b)
+  else if not l.objs.(i) then
+    fun (env : t) -> raise (if env.(i) == absent then Unbound b else Not_materialized b)
+  else
+    fun (env : t) ->
+      let o = env.(i) in
+      if o == absent then raise (Unbound b) else o
 
-let merge a b = a @ b
+let merge = Array.append
 
-let narrow t bs = List.filter (fun (b, _) -> List.mem b bs) t
-
-let demote_except t keep =
-  let demoted (b, s) = s.s_obj <> None && not (List.mem b keep) in
-  if List.exists demoted t then
-    List.map (fun ((b, s) as e) -> if demoted e then (b, { s with s_obj = None }) else e) t
-  else t
-
-let key_of t bs = List.map (fun b -> Value.Ref (oid t b)) bs
+let extend (env : t) o =
+  let n = Array.length env in
+  let e = Array.make (n + 1) o in
+  Array.blit env 0 e 0 n;
+  e

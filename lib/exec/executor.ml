@@ -69,25 +69,32 @@ let rec iterator ?(config = Config.default) ?(wrap = fun _plan it -> it) db
 
 (* Row extraction: a root Alg-Project evaluates its expressions; any
    other root yields binding/OID pairs. *)
-let rows_of (plan : Engine.plan) envs =
-  match plan.Engine.alg with
-  | Physical.Alg_project ps ->
-    List.map
-      (fun env ->
+let rows_of (plan : Engine.plan) it =
+  let layout = Iterator.layout it in
+  let envs = Iterator.to_array it in
+  let row =
+    match plan.Engine.alg with
+    | Physical.Alg_project ps ->
+      let cols =
         List.map
-          (fun (p : Logical.proj) -> (p.Logical.p_name, Eval.operand env p.Logical.p_expr))
-          ps)
-      envs
-  | _ ->
-    List.map
-      (fun env ->
-        List.map (fun b -> (b, Value.Ref (Env.oid env b))) (Env.bindings env))
-      envs
+          (fun (p : Logical.proj) -> (p.Logical.p_name, Eval.operand layout p.Logical.p_expr))
+          ps
+      in
+      fun env -> List.map (fun (name, f) -> (name, f env)) cols
+    | _ ->
+      fun env ->
+        let row = ref [] in
+        for i = Array.length env - 1 downto 0 do
+          if env.(i) != Env.absent then
+            row := (layout.Env.names.(i), Value.Ref env.(i).Store.oid) :: !row
+        done;
+        !row
+  in
+  Array.to_list (Array.map row envs)
 
 let run ?(verify = debug_default) ?config db plan =
   if verify then lint_or_refuse db plan;
-  let it = iterator ?config db plan in
-  rows_of plan (Iterator.to_list it)
+  rows_of plan (iterator ?config db plan)
 
 type io_report = {
   seq_reads : int;

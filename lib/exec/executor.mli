@@ -23,11 +23,12 @@ val iterator :
     default is the identity: no per-tuple indirection is added when no
     wrapper is requested. *)
 
-val rows_of : Engine.plan -> Env.t list -> row list
-(** Extract result rows from drained environments: a root Alg-Project
-    evaluates its expressions; any other root yields binding/OID pairs.
-    Exposed so drivers that build their own iterator (e.g. the
-    per-operator profiler) extract rows the same way {!run} does. *)
+val rows_of : Engine.plan -> Iterator.t -> row list
+(** Drain the plan's iterator ({!Iterator.to_array}) and extract result
+    rows: a root Alg-Project evaluates its expressions; any other root
+    yields binding/OID pairs in slot order. Exposed so drivers that
+    build their own iterator (e.g. the per-operator profiler) extract
+    rows the same way {!run} does. *)
 
 val run : ?verify:bool -> ?config:Config.t -> Db.t -> Engine.plan -> row list
 (** Execute to completion and extract result rows. [verify] runs the

@@ -1,110 +1,41 @@
-module Config = Oodb_cost.Config
-
 type t = {
+  layout : Env.layout;
   open_ : unit -> unit;
   next_batch : unit -> Batch.t option;
   close : unit -> unit;
-  (* Cursor backing the tuple-at-a-time compatibility shim. *)
-  mutable cur : Batch.t;
-  mutable pos : int;
 }
 
-let make_batched ~open_ ~next_batch ~close =
-  { open_; next_batch; close; cur = Batch.empty; pos = 0 }
+let make_batched ~layout ~open_ ~next_batch ~close = { layout; open_; next_batch; close }
 
-let open_ t =
-  t.cur <- Batch.empty;
-  t.pos <- 0;
-  t.open_ ()
+let layout t = t.layout
+
+let with_layout t layout = { t with layout }
+
+let open_ t = t.open_ ()
 
 let close t = t.close ()
 
-let next_batch t =
-  if t.pos < Batch.length t.cur then begin
-    (* hand the unconsumed remainder of the shim cursor back first *)
-    let rest = Batch.drop t.cur t.pos in
-    t.cur <- Batch.empty;
-    t.pos <- 0;
-    Some rest
-  end
-  else
-    let rec pull () =
-      match t.next_batch () with
-      | Some b when Batch.is_empty b -> pull ()
-      | r -> r
-    in
-    pull ()
+let rec next_batch t =
+  match t.next_batch () with
+  | Some b when Batch.is_empty b -> next_batch t
+  | r -> r
 
-let next t =
-  let rec go () =
-    if t.pos < Batch.length t.cur then begin
-      let env = Batch.get t.cur t.pos in
-      t.pos <- t.pos + 1;
-      Some env
-    end
-    else
-      match t.next_batch () with
-      | None -> None
-      | Some b ->
-        t.cur <- b;
-        t.pos <- 0;
-        go ()
-  in
-  go ()
-
-(* Tuple-level constructors: legacy producers batch their output up to
-   [batch_size] so downstream batch consumers still amortize. *)
-
-let batch_of_next ~batch_size next =
-  match next () with
-  | None -> None
-  | Some env ->
-    let acc = ref [ env ] in
-    let n = ref 1 in
-    let exhausted = ref false in
-    while (not !exhausted) && !n < batch_size do
-      match next () with
-      | None -> exhausted := true
-      | Some env ->
-        acc := env :: !acc;
-        incr n
-    done;
-    Some (Batch.of_list (List.rev !acc))
-
-let make ~open_ ~next ~close =
-  make_batched ~open_ ~close
-    ~next_batch:(fun () -> batch_of_next ~batch_size:Config.default_batch_size next)
-
-let of_gen ?(batch_size = Config.default_batch_size) factory =
+let of_array_thunk ~layout ~batch_size thunk =
   let batch_size = max 1 batch_size in
-  let gen = ref (fun () -> None) in
-  make_batched
-    ~open_:(fun () -> gen := factory ())
-    ~next_batch:(fun () -> batch_of_next ~batch_size !gen)
-    ~close:(fun () -> gen := fun () -> None)
-
-let of_batch_gen factory =
-  let gen = ref (fun () -> None) in
-  make_batched
-    ~open_:(fun () -> gen := factory ())
-    ~next_batch:(fun () -> !gen ())
-    ~close:(fun () -> gen := fun () -> None)
-
-let of_list_thunk ?(batch_size = Config.default_batch_size) thunk =
-  let batch_size = max 1 batch_size in
-  of_batch_gen (fun () ->
-      let remaining = ref (thunk ()) in
-      fun () ->
-        match !remaining with
-        | [] -> None
-        | l ->
-          let rec take n acc l =
-            if n = 0 then (List.rev acc, l)
-            else match l with [] -> (List.rev acc, []) | x :: rest -> take (n - 1) (x :: acc) rest
-          in
-          let chunk, rest = take batch_size [] l in
-          remaining := rest;
-          Some (Batch.of_list chunk))
+  let data = ref [||] and pos = ref 0 in
+  make_batched ~layout
+    ~open_:(fun () ->
+      data := thunk ();
+      pos := 0)
+    ~next_batch:(fun () ->
+      let n = min batch_size (Array.length !data - !pos) in
+      if n <= 0 then None
+      else begin
+        let b = Batch.of_array (Array.sub !data !pos n) in
+        pos := !pos + n;
+        Some b
+      end)
+    ~close:(fun () -> data := [||])
 
 (* Drains close the iterator on the way out even when the tree raises
    mid-stream, so a failing operator cannot leak its children's open
@@ -120,22 +51,13 @@ let drain_protected t f =
     (try close t with _ -> ());
     raise e
 
-let to_list t =
+let to_array t =
   drain_protected t (fun () ->
       let rec drain acc =
         match next_batch t with
-        | Some b -> drain (Batch.fold (fun acc env -> env :: acc) acc b)
-        | None -> List.rev acc
+        | Some b -> drain (Batch.to_array b :: acc)
+        | None -> Array.concat (List.rev acc)
       in
       drain [])
 
-let iter f t =
-  drain_protected t (fun () ->
-      let rec go () =
-        match next_batch t with
-        | Some b ->
-          Batch.iter f b;
-          go ()
-        | None -> ()
-      in
-      go ())
+let to_list t = Array.to_list (to_array t)

@@ -4,58 +4,46 @@
     transfer to the Open OODB system, vectorized: every algorithm is an
     iterator over bounded {!Batch.t}s of {!Env.t} tuples, composed into
     a tree mirroring the physical plan. One [next_batch] call per batch
-    replaces one closure call per tuple at every operator boundary.
+    replaces one closure call per tuple at every operator boundary; with
+    batch size 1 the engine degrades to exactly the paper's
+    tuple-at-a-time behavior.
 
-    A tuple-at-a-time shim ({!next}) cursors over the current batch, so
-    drivers written against the classic open/next/close protocol keep
-    working unchanged; with batch size 1 the engine degrades to exactly
-    the paper's tuple-at-a-time behavior. *)
+    Every iterator carries the {!Env.layout} of the tuples it produces,
+    fixed when it is built: its consumer resolves binding names against
+    it once. *)
 
 type t
 
 val make_batched :
+  layout:Env.layout ->
   open_:(unit -> unit) ->
   next_batch:(unit -> Batch.t option) ->
   close:(unit -> unit) ->
   t
-(** The primary constructor. [next_batch] returns [None] when
-    exhausted; empty batches are legal but consumers skip them. *)
+(** The constructor. [next_batch] returns [None] when exhausted; empty
+    batches are legal but consumers skip them. *)
 
-val make :
-  open_:(unit -> unit) -> next:(unit -> Env.t option) -> close:(unit -> unit) -> t
-(** Compatibility constructor for tuple-level producers: output is
-    gathered into batches of the default size
-    ({!Oodb_cost.Config.default_batch_size}). *)
+val layout : t -> Env.layout
 
-val of_gen : ?batch_size:int -> (unit -> (unit -> Env.t option)) -> t
-(** Build from a tuple-generator factory: [open_] calls the factory,
-    [next_batch] gathers up to [batch_size] pulls, [close] drops it. *)
-
-val of_batch_gen : (unit -> (unit -> Batch.t option)) -> t
-(** Build from a batch-generator factory. *)
+val with_layout : t -> Env.layout -> t
+(** The same iterator, its tuples read under another layout of the same
+    slots (e.g. with fewer materialized objects). *)
 
 val open_ : t -> unit
 
 val next_batch : t -> Batch.t option
-(** Never returns an empty batch. A batch partially consumed through
-    {!next} is handed back (its remainder) before the underlying
-    producer is pulled again, so mixed tuple/batch consumption is
-    coherent. *)
-
-val next : t -> Env.t option
-(** Tuple-at-a-time shim: cursors over the current batch and pulls the
-    next one when it runs out. *)
+(** Never returns an empty batch. *)
 
 val close : t -> unit
 
-val to_list : t -> Env.t list
+val to_array : t -> Env.t array
 (** Open, drain batch-wise, close. If the iterator tree raises
     mid-drain, the tree is closed before the exception is re-raised, so
     no operator leaks open children. *)
 
-val iter : (Env.t -> unit) -> t -> unit
-(** Same exception-safety contract as {!to_list}. *)
+val to_list : t -> Env.t list
+(** {!to_array} as a list. *)
 
-val of_list_thunk : ?batch_size:int -> (unit -> Env.t list) -> t
+val of_array_thunk : layout:Env.layout -> batch_size:int -> (unit -> Env.t array) -> t
 (** Materializing source: the thunk runs at open time; output is served
-    in batches of [batch_size] (default {!Oodb_cost.Config.default_batch_size}). *)
+    in batches of [batch_size]. *)

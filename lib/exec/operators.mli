@@ -6,7 +6,9 @@
     setting it to 1 degrades the engine to tuple-at-a-time behavior
     with identical row streams and I/O charges. Disk and buffer traffic
     is charged through the {!Db.t}'s store, so runs can be compared
-    with the optimizer's anticipated costs. *)
+    with the optimizer's anticipated costs. Each constructor derives its
+    output {!Env.layout} from its inputs' and resolves the bindings it
+    reads against them when it is called. *)
 
 module Value = Oodb_storage.Value
 module Pred = Oodb_algebra.Pred
@@ -16,7 +18,8 @@ module Config = Oodb_cost.Config
 
 val trim : string list -> Iterator.t -> Iterator.t
 (** Demote slots of bindings outside the list to bare references — the
-    runtime counterpart of a plan node's delivered in-memory properties. *)
+    runtime counterpart of a plan node's delivered in-memory properties.
+    A layout change only; the child itself when nothing is demoted. *)
 
 val file_scan : Db.t -> coll:string -> binding:string -> batch_size:int -> Iterator.t
 (** Reads [batch_size] objects per storage call ({!Store.scan_batch}),

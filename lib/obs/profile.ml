@@ -146,7 +146,7 @@ let run ?(verify = false) ?(config = Config.default) ?spans ?registry db plan =
        per next_batch keeps the profiler's own overhead amortized the
        same way the engine's is, and the I/O counters still sum exactly
        because they are deltas of global counters. *)
-    Iterator.make_batched
+    Iterator.make_batched ~layout:(Iterator.layout it)
       ~open_:(fun () ->
         measure cell ~name ~args:(args "open") (fun () -> Iterator.open_ it))
       ~next_batch:(fun () ->
@@ -171,8 +171,7 @@ let run ?(verify = false) ?(config = Config.default) ?spans ?registry db plan =
   Buffer_pool.reset_stats buffer;
   Buffer_pool.flush buffer;
   let it = Executor.iterator ~config ~wrap db plan in
-  let envs = Iterator.to_list it in
-  let rows = Executor.rows_of plan envs in
+  let rows = Executor.rows_of plan it in
   let report =
     Executor.report_of ~config ~rows:(List.length rows) (Disk.stats disk)
       (Buffer_pool.stats buffer)

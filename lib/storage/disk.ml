@@ -54,6 +54,8 @@ let segment_name seg = seg.name
 
 let segment_pages seg = seg.n_pages
 
+let segment_id seg = seg.id
+
 let extend _t seg n =
   assert (n >= 0);
   seg.n_pages <- seg.n_pages + n

@@ -38,6 +38,10 @@ val segment_name : segment -> string
 
 val segment_pages : segment -> int
 
+val segment_id : segment -> int
+(** Allocation rank of the segment, from 0: segments with lower ids lie
+    at lower platter addresses. *)
+
 val extend : t -> segment -> int -> unit
 (** [extend t seg n] appends [n] fresh pages to [seg]. Segments are
     contiguous: extending a segment after another segment has been

@@ -12,27 +12,44 @@ type coll_info = {
   c_seg : Disk.segment;
   c_per_page : int;       (* objects per page; 1 when objects span pages *)
   c_pages_per_obj : int;  (* pages per object; 1 when objects share pages *)
-  mutable c_members : Value.oid list; (* reverse insertion order *)
-  mutable c_members_arr : Value.oid array option; (* slot-order cache *)
+  mutable c_members : obj array; (* slot order; the first [c_count] are live *)
   mutable c_count : int;
 }
 
+(* Objects are addressed by dense OIDs (issued from 1 in insertion
+   order), so every per-OID table is a plain array indexed by OID, grown
+   by doubling: no hashing on the fetch path. *)
 type t = {
   disk : Disk.t;
   buffer : Buffer_pool.t;
   colls : (string, coll_info) Hashtbl.t;
-  objects : (Value.oid, obj) Hashtbl.t;
-  slots : (Value.oid, coll_info * int) Hashtbl.t; (* oid -> (collection, slot index) *)
+  (* Indexed by OID; entries at or past [next_oid] (and at 0) are unused. *)
+  mutable objects : obj array;
+  mutable owner : coll_info array;
+  mutable slot : int array; (* slot index within the owning collection *)
   mutable next_oid : Value.oid;
 }
+
+let no_obj = { oid = 0; cls = ""; coll = ""; fields = [||] }
+
+(* Double [a] until it has room for index [i]. *)
+let grow a i fill =
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let b = Array.make (max 8 (max (i + 1) (2 * n))) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
 
 let create ?(page_size = 4096) ?(buffer_pages = 2048) () =
   let disk = Disk.create ~page_size () in
   { disk;
     buffer = Buffer_pool.create disk ~capacity_pages:buffer_pages;
     colls = Hashtbl.create 32;
-    objects = Hashtbl.create 4096;
-    slots = Hashtbl.create 4096;
+    objects = [||];
+    owner = [||];
+    slot = [||];
     next_oid = 1 }
 
 let disk t = t.disk
@@ -53,11 +70,8 @@ let declare_collection t ~name ~cls ~obj_bytes =
       c_seg = Disk.alloc_segment t.disk ~name;
       c_per_page = per_page;
       c_pages_per_obj = pages_per_obj;
-      c_members = [];
-      c_members_arr = None;
+      c_members = [||];
       c_count = 0 }
-
-let collections t = Hashtbl.fold (fun name _ acc -> name :: acc) t.colls []
 
 let get_coll t name =
   match Hashtbl.find_opt t.colls name with
@@ -76,35 +90,40 @@ let insert t ~coll fields =
   t.next_oid <- oid + 1;
   let slot = c.c_count in
   c.c_count <- slot + 1;
-  c.c_members <- oid :: c.c_members;
-  c.c_members_arr <- None;
   let needed = last_page_needed c c.c_count in
   let have = Disk.segment_pages c.c_seg in
   if needed > have then Disk.extend t.disk c.c_seg (needed - have);
   let obj = { oid; cls = c.c_cls; coll; fields = Array.of_list fields } in
-  Hashtbl.add t.objects oid obj;
-  Hashtbl.add t.slots oid (c, slot);
+  c.c_members <- grow c.c_members slot no_obj;
+  c.c_members.(slot) <- obj;
+  t.objects <- grow t.objects oid no_obj;
+  t.owner <- grow t.owner oid c;
+  t.slot <- grow t.slot oid 0;
+  t.objects.(oid) <- obj;
+  t.owner.(oid) <- c;
+  t.slot.(oid) <- slot;
   oid
 
+let check_oid t oid = if oid < 1 || oid >= t.next_oid then raise Not_found
+
 let peek t oid =
-  match Hashtbl.find_opt t.objects oid with
-  | Some o -> o
-  | None -> raise Not_found
+  check_oid t oid;
+  t.objects.(oid)
 
 let set_field t oid name v =
   let o = peek t oid in
   let rec go i =
     if i >= Array.length o.fields then
       invalid_arg (Printf.sprintf "Store.set_field: object %d has no field %s" oid name)
-    else if fst o.fields.(i) = name then o.fields.(i) <- (name, v)
+    else if String.equal (fst o.fields.(i)) name then o.fields.(i) <- (name, v)
     else go (i + 1)
   in
   go 0
 
 let fetch t oid =
   let o = peek t oid in
-  let c, slot = Hashtbl.find t.slots oid in
-  let page0 = first_page c slot in
+  let c = t.owner.(oid) in
+  let page0 = first_page c t.slot.(oid) in
   for p = page0 to page0 + c.c_pages_per_obj - 1 do
     Buffer_pool.read t.buffer c.c_seg p
   done;
@@ -113,27 +132,20 @@ let fetch t oid =
 let field o name =
   let rec go i =
     if i >= Array.length o.fields then raise Not_found
-    else if fst o.fields.(i) = name then snd o.fields.(i)
+    else if String.equal (fst o.fields.(i)) name then snd o.fields.(i)
     else go (i + 1)
   in
   go 0
 
-let members_array c =
-  match c.c_members_arr with
-  | Some a -> a
-  | None ->
-    let a = Array.of_list (List.rev c.c_members) in
-    c.c_members_arr <- Some a;
-    a
-
-let oids t ~coll = List.rev (get_coll t coll).c_members
+let oids t ~coll =
+  let c = get_coll t coll in
+  List.init c.c_count (fun i -> c.c_members.(i).oid)
 
 let scan_batch t ~coll ~pos ~n =
   if pos < 0 then invalid_arg "Store.scan_batch: negative position";
   if n < 1 then invalid_arg "Store.scan_batch: batch size must be >= 1";
   let c = get_coll t coll in
-  let members = members_array c in
-  let count = Array.length members in
+  let count = c.c_count in
   if pos >= count then [||]
   else begin
     let stop = min count (pos + n) in
@@ -144,36 +156,38 @@ let scan_batch t ~coll ~pos ~n =
     for p = first_page c pos to last do
       Buffer_pool.read t.buffer c.c_seg p
     done;
-    Array.init (stop - pos) (fun i -> Hashtbl.find t.objects members.(pos + i))
+    Array.sub c.c_members pos (stop - pos)
   end
-
-let fetch_batch t oids = List.map (fetch t) oids
 
 let scan t ~coll f =
   let c = get_coll t coll in
-  let members = Array.of_list (List.rev c.c_members) in
-  let n = Array.length members in
+  let n = c.c_count in
   let pages = last_page_needed c n in
   (* Charge pages as we cross page boundaries, in physical order. *)
   let next_page = ref 0 in
-  Array.iteri
-    (fun i oid ->
-      let p_end = first_page c i + c.c_pages_per_obj in
-      while !next_page < p_end && !next_page < pages do
-        Buffer_pool.read t.buffer c.c_seg !next_page;
-        incr next_page
-      done;
-      f (Hashtbl.find t.objects oid))
-    members
+  for i = 0 to n - 1 do
+    let p_end = first_page c i + c.c_pages_per_obj in
+    while !next_page < p_end && !next_page < pages do
+      Buffer_pool.read t.buffer c.c_seg !next_page;
+      incr next_page
+    done;
+    f c.c_members.(i)
+  done
 
 let cardinality t ~coll = (get_coll t coll).c_count
 
 let segment t ~coll = (get_coll t coll).c_seg
 
-let obj_bytes t ~coll = (get_coll t coll).c_obj_bytes
+let segment_id t oid =
+  check_oid t oid;
+  Disk.segment_id t.owner.(oid).c_seg
 
-let location t oid =
-  let c, slot = Hashtbl.find t.slots oid in
-  (c.c_seg, first_page c slot)
+let first_page_of t oid =
+  check_oid t oid;
+  first_page t.owner.(oid) t.slot.(oid)
+
+let bytes_of t oid =
+  check_oid t oid;
+  t.owner.(oid).c_obj_bytes
 
 let class_of t oid = (peek t oid).cls

@@ -6,6 +6,10 @@
     matching the paper's assumption that "objects in user-defined sets and
     type extents are densely packed on pages".
 
+    OIDs are issued densely from 1, so the store resolves an OID to its
+    object, collection and slot by array indexing; each collection keeps
+    its members as an array in slot order, which scans slice.
+
     Object field data is held in memory for simplicity, but every access
     path that a real system would pay I/O for ([fetch], [scan]) charges
     the simulated {!Disk} through the {!Buffer_pool}, so execution-engine
@@ -33,8 +37,6 @@ val declare_collection : t -> name:string -> cls:string -> obj_bytes:int -> unit
 (** Declare a collection before inserting into it.
     @raise Invalid_argument on duplicate names or non-positive sizes. *)
 
-val collections : t -> string list
-
 val insert : t -> coll:string -> (string * Value.t) list -> Value.oid
 (** Append an object; allocates disk pages as needed. No I/O is charged
     (bulk loading is not part of any measured experiment). *)
@@ -48,7 +50,8 @@ val fetch : t -> Value.oid -> obj
     object spans. @raise Not_found for dangling OIDs. *)
 
 val peek : t -> Value.oid -> obj
-(** Like [fetch] but free: no simulated I/O. *)
+(** Like [fetch] but free: no simulated I/O. @raise Not_found for
+    dangling OIDs. *)
 
 val field : obj -> string -> Value.t
 (** @raise Not_found if the object has no such field. *)
@@ -64,11 +67,6 @@ val scan_batch : t -> coll:string -> pos:int -> n:int -> obj array
     charges are exactly {!fetch}'s.
     @raise Invalid_argument on negative [pos] or [n < 1]. *)
 
-val fetch_batch : t -> Value.oid list -> obj list
-(** Dereference a batch of OIDs in one storage call, charging per
-    object exactly what {!fetch} charges. @raise Not_found on dangling
-    OIDs. *)
-
 val oids : t -> coll:string -> Value.oid list
 (** Members in physical order, free of charge. *)
 
@@ -76,11 +74,18 @@ val cardinality : t -> coll:string -> int
 
 val segment : t -> coll:string -> Disk.segment
 
-val obj_bytes : t -> coll:string -> int
+val segment_id : t -> Value.oid -> int
+(** {!Disk.segment_id} of the object's collection. With {!first_page_of}
+    it is the (segment, page) sort key of elevator scheduling in the
+    assembly operator. @raise Not_found for dangling OIDs. *)
 
-val location : t -> Value.oid -> Disk.segment * int
-(** First (segment, page) of the object — the sort key for elevator
-    scheduling in the assembly operator. *)
+val first_page_of : t -> Value.oid -> int
+(** Index of the first page the object occupies in its segment.
+    @raise Not_found for dangling OIDs. *)
+
+val bytes_of : t -> Value.oid -> int
+(** Size of the object: the [obj_bytes] its collection was declared
+    with. @raise Not_found for dangling OIDs. *)
 
 val class_of : t -> Value.oid -> string
 (** Class of an object, free of charge (OID tables are resident). *)

@@ -34,39 +34,54 @@ let test_env_basics () =
   let d = db () in
   let store = Db.store d in
   let oid = List.hd (Store.oids store ~coll:"Cities") in
-  let env = Env.bind_obj Env.empty "c" (Store.peek store oid) in
-  Alcotest.(check int) "oid" oid (Env.oid env "c");
-  Alcotest.(check bool) "obj" true ((Env.obj env "c").Store.oid = oid);
-  let env = Env.bind_ref env "x" 99 in
-  Alcotest.(check int) "ref oid" 99 (Env.oid env "x");
+  let l = Env.layout [ ("c", true); ("x", false) ] in
+  let env = [| Store.peek store oid; Env.reference store 99 |] in
+  Alcotest.(check int) "oid" oid (Env.oid l "c" env);
+  Alcotest.(check bool) "obj" true ((Env.obj l "c" env).Store.oid = oid);
+  Alcotest.(check int) "ref oid" 99 (Env.oid l "x" env);
   Alcotest.check_raises "not materialized" (Env.Not_materialized "x") (fun () ->
-      ignore (Env.obj env "x"));
-  Alcotest.check_raises "unbound" (Env.Unbound "nope") (fun () -> ignore (Env.oid env "nope"));
-  Alcotest.(check (list string)) "bindings" [ "c"; "x" ] (Env.bindings env);
-  Alcotest.(check (list string)) "narrow" [ "x" ] (Env.bindings (Env.narrow env [ "x" ]))
+      ignore (Env.obj l "x" env));
+  Alcotest.check_raises "unbound" (Env.Unbound "nope") (fun () -> ignore (Env.oid l "nope" env));
+  Alcotest.(check (list string)) "bindings" [ "c"; "x" ] (Env.bindings l);
+  let partial = [| Env.absent; Env.reference store 99 |] in
+  Alcotest.check_raises "absent slot raises" (Env.Unbound "c") (fun () ->
+      ignore (Env.oid l "c" partial))
 
 let test_eval () =
   let d = db () in
   let store = Db.store d in
   let oid = List.hd (Store.oids store ~coll:"Cities") in
-  let env = Env.bind_obj Env.empty "c" (Store.peek store oid) in
+  let l = Env.layout [ ("c", true) ] in
+  let env = [| Store.peek store oid |] in
   let name = Store.field (Store.peek store oid) "name" in
   Alcotest.(check bool) "eq" true
-    (Eval.atom env (Pred.atom Pred.Eq (Pred.Field ("c", "name")) (Pred.Const name)));
+    (Eval.atom l (Pred.atom Pred.Eq (Pred.Field ("c", "name")) (Pred.Const name)) env);
   Alcotest.(check bool) "self" true
-    (Eval.atom env (Pred.atom Pred.Eq (Pred.Self "c") (Pred.Const (Value.Ref oid))));
+    (Eval.atom l (Pred.atom Pred.Eq (Pred.Self "c") (Pred.Const (Value.Ref oid))) env);
   Alcotest.(check bool) "missing field is null" true
-    (Eval.operand env (Pred.Field ("c", "no_such_field")) = Value.Null);
+    (Eval.operand l (Pred.Field ("c", "no_such_field")) env = Value.Null);
   Alcotest.(check bool) "null comparisons false" false
-    (Eval.atom env (Pred.atom Pred.Lt (Pred.Field ("c", "no_such_field")) (Pred.Const (Value.Int 1))))
+    (Eval.atom l
+       (Pred.atom Pred.Lt (Pred.Field ("c", "no_such_field")) (Pred.Const (Value.Int 1)))
+       env)
 
 (* ------------------------------------------------------------------ *)
 (* Operators                                                            *)
 
+(* Drain an iterator into its tuples paired with its layout, so tests
+   can read slots by binding name. *)
+let drain it =
+  let l = Iterator.layout it in
+  List.map (fun e -> (l, e)) (Iterator.to_list it)
+
+let oid (l, e) b = Env.oid l b e
+
+let obj (l, e) b = Env.obj l b e
+
 let test_file_scan_counts () =
   let d = db () in
   let it = Operators.file_scan d ~coll:"Cities" ~binding:"c" ~batch_size:8 in
-  let envs = Iterator.to_list it in
+  let envs = drain it in
   Alcotest.(check int) "all cities" (Store.cardinality (Db.store d) ~coll:"Cities")
     (List.length envs)
 
@@ -77,17 +92,17 @@ let test_index_scan_equals_filter () =
   let t0 = List.hd (Store.oids store ~coll:"Tasks") in
   let key = Store.field (Store.peek store t0) "time" in
   let via_index =
-    Iterator.to_list
+    drain
       (Operators.index_scan d ~coll:"Tasks" ~binding:"t" ~index:"tasks_time" ~key ~residual:[] ~derefs:[] ~batch_size:8)
-    |> List.map (fun e -> Env.oid e "t")
+    |> List.map (fun e -> oid e "t")
     |> List.sort compare
   in
   let via_scan =
-    Iterator.to_list
+    drain
       (Operators.filter
          [ Pred.atom Pred.Eq (Pred.Field ("t", "time")) (Pred.Const key) ]
          (Operators.file_scan d ~coll:"Tasks" ~binding:"t" ~batch_size:8))
-    |> List.map (fun e -> Env.oid e "t")
+    |> List.map (fun e -> oid e "t")
     |> List.sort compare
   in
   Alcotest.(check bool) "non-empty" true (via_scan <> []);
@@ -101,12 +116,12 @@ let test_assembly_materializes () =
       ~window:4
       (Operators.file_scan d ~coll:"Cities" ~binding:"c" ~batch_size:8)
   in
-  let envs = Iterator.to_list it in
+  let envs = drain it in
   Alcotest.(check int) "cardinality preserved" (Store.cardinality (Db.store d) ~coll:"Cities")
     (List.length envs);
   List.iter
     (fun env ->
-      let c = Env.obj env "c" and m = Env.obj env "m" in
+      let c = obj env "c" and m = obj env "m" in
       Alcotest.(check bool) "mayor resolved" true
         (Value.as_ref (Store.field c "mayor") = Some m.Store.oid))
     envs
@@ -118,8 +133,8 @@ let test_assembly_window_sizes_agree () =
       ~paths:[ { Physical.ap_src = "c"; ap_field = Some "mayor"; ap_out = "m" } ]
       ~window
       (Operators.file_scan d ~coll:"Cities" ~binding:"c" ~batch_size:8)
-    |> Iterator.to_list
-    |> List.map (fun e -> (Env.oid e "c", Env.oid e "m"))
+    |> drain
+    |> List.map (fun e -> (oid e "c", oid e "m"))
   in
   Alcotest.(check bool) "window 1 == window 64" true (run 1 = run 64)
 
@@ -130,7 +145,7 @@ let test_unnest () =
     Operators.alg_unnest d ~src:"t" ~field:"team_members" ~out:"m" ~batch_size:8
       (Operators.file_scan d ~coll:"Tasks" ~binding:"t" ~batch_size:8)
   in
-  let envs = Iterator.to_list it in
+  let envs = drain it in
   let expected =
     List.fold_left
       (fun acc t ->
@@ -142,7 +157,7 @@ let test_unnest () =
   match envs with
   | env :: _ ->
     Alcotest.check_raises "not in memory" (Env.Not_materialized "m") (fun () ->
-        ignore (Env.obj env "m"))
+        ignore (obj env "m"))
   | [] -> Alcotest.fail "no members"
 
 let test_hash_join_equals_pointer_join () =
@@ -152,15 +167,15 @@ let test_hash_join_equals_pointer_join () =
     Operators.hash_join d Oodb_cost.Config.default [ link ]
       ~build:(Operators.file_scan d ~coll:"Departments" ~binding:"d" ~batch_size:8)
       ~probe:(Operators.file_scan d ~coll:"Employees" ~binding:"e" ~batch_size:8)
-    |> Iterator.to_list
-    |> List.map (fun env -> (Env.oid env "e", Env.oid env "d"))
+    |> drain
+    |> List.map (fun env -> (oid env "e", oid env "d"))
     |> List.sort compare
   in
   let pointer =
     Operators.pointer_join d ~src:"e" ~field:(Some "dept") ~out:"d" ~residual:[]
       (Operators.file_scan d ~coll:"Employees" ~binding:"e" ~batch_size:8)
-    |> Iterator.to_list
-    |> List.map (fun env -> (Env.oid env "e", Env.oid env "d"))
+    |> drain
+    |> List.map (fun env -> (oid env "e", oid env "d"))
     |> List.sort compare
   in
   Alcotest.(check bool) "non-empty" true (hash <> []);
@@ -174,11 +189,11 @@ let test_hash_join_residual () =
     Operators.hash_join d Oodb_cost.Config.default [ link; residual ]
       ~build:(Operators.file_scan d ~coll:"Departments" ~binding:"d" ~batch_size:8)
       ~probe:(Operators.file_scan d ~coll:"Employees" ~binding:"e" ~batch_size:8)
-    |> Iterator.to_list
+    |> drain
   in
   List.iter
     (fun env ->
-      match Store.field (Env.obj env "e") "age" with
+      match Store.field (obj env "e") "age" with
       | Value.Int a -> Alcotest.(check bool) "residual applied" true (a >= 40)
       | _ -> Alcotest.fail "age missing")
     rows
@@ -194,13 +209,41 @@ let test_setops () =
   let mid = List.nth oids (List.length oids / 2) in
   let n_all = List.length oids in
   let high () = filter mid (scan ()) in
-  let union = Iterator.to_list (Operators.hash_union ~batch_size:8 (scan ()) (high ())) in
+  let union = drain (Operators.hash_union ~batch_size:8 (scan ()) (high ())) in
   Alcotest.(check int) "union dedups" n_all (List.length union);
-  let inter = Iterator.to_list (Operators.hash_intersect ~batch_size:8 (scan ()) (high ())) in
-  let n_high = List.length (Iterator.to_list (high ())) in
+  let inter = drain (Operators.hash_intersect ~batch_size:8 (scan ()) (high ())) in
+  let n_high = List.length (drain (high ())) in
   Alcotest.(check int) "intersection" n_high (List.length inter);
-  let diff = Iterator.to_list (Operators.hash_difference ~batch_size:8 (scan ()) (high ())) in
+  let diff = drain (Operators.hash_difference ~batch_size:8 (scan ()) (high ())) in
   Alcotest.(check int) "difference" (n_all - n_high) (List.length diff)
+
+(* The inputs of a set operation may deliver their bindings in different
+   slot orders (different join orders): identity keys must agree across
+   them, and right-input tuples must be re-slotted into the output
+   layout. *)
+let test_setops_across_join_orders () =
+  let d = db () in
+  let link = Pred.atom Pred.Eq (Pred.Field ("e", "dept")) (Pred.Self "d") in
+  let scan coll b = Operators.file_scan d ~coll ~binding:b ~batch_size:8 in
+  let join build probe =
+    Operators.hash_join d Oodb_cost.Config.default [ link ] ~build ~probe
+  in
+  let de () = join (scan "Departments" "d") (scan "Employees" "e") in
+  let ed () = join (scan "Employees" "e") (scan "Departments" "d") in
+  let pairs envs = List.sort compare (List.map (fun env -> (oid env "e", oid env "d")) envs) in
+  let expected = pairs (drain (de ())) in
+  Alcotest.(check bool) "non-empty" true (expected <> []);
+  Alcotest.(check bool) "same pairs either order" true (pairs (drain (ed ())) = expected);
+  let check name it = Alcotest.(check bool) name true (pairs (drain it) = expected) in
+  check "union, d-e first" (Operators.hash_union ~batch_size:8 (de ()) (ed ()));
+  check "union, e-d first" (Operators.hash_union ~batch_size:8 (ed ()) (de ()));
+  check "union of nothing and e-d"
+    (Operators.hash_union ~batch_size:8
+       (Operators.filter [ Pred.atom Pred.Eq (Pred.Self "e") (Pred.Const Value.Null) ] (de ()))
+       (ed ()));
+  check "intersection" (Operators.hash_intersect ~batch_size:8 (de ()) (ed ()));
+  Alcotest.(check int) "difference" 0
+    (List.length (drain (Operators.hash_difference ~batch_size:8 (ed ()) (de ()))))
 
 let test_sort () =
   let d = db () in
@@ -211,7 +254,7 @@ let test_sort () =
       (Operators.file_scan d ~coll:"Countries" ~binding:"n" ~batch_size:8)
   in
   let names =
-    Iterator.to_list it |> List.map (fun env -> Store.field (Env.obj env "n") "name")
+    drain it |> List.map (fun env -> Store.field (obj env "n") "name")
   in
   let sorted = List.sort Value.compare names in
   Alcotest.(check bool) "sorted output" true (names = sorted)
@@ -221,10 +264,10 @@ let test_trim_enforces_properties () =
   (* a scan trimmed to nothing must raise on field access *)
   let it = Operators.trim [] (Operators.file_scan d ~coll:"Cities" ~binding:"c" ~batch_size:8) in
   Iterator.open_ it;
-  (match Iterator.next it with
-  | Some env ->
+  (match Iterator.next_batch it with
+  | Some b ->
     Alcotest.check_raises "demoted to reference" (Env.Not_materialized "c") (fun () ->
-        ignore (Env.obj env "c"))
+        ignore (Env.obj (Iterator.layout it) "c" (Oodb_exec.Batch.get b 0)))
   | None -> Alcotest.fail "no tuples");
   Iterator.close it
 
@@ -237,7 +280,7 @@ let test_failing_predicate_closes_tree () =
   let closed = ref false in
   let inner = Operators.file_scan d ~coll:"Cities" ~binding:"c" ~batch_size:4 in
   let spy =
-    Iterator.make_batched
+    Iterator.make_batched ~layout:(Iterator.layout inner)
       ~open_:(fun () ->
         closed := false;
         Iterator.open_ inner)
@@ -346,6 +389,8 @@ let () =
           Alcotest.test_case "hash join == pointer join" `Quick test_hash_join_equals_pointer_join;
           Alcotest.test_case "hash join residual" `Quick test_hash_join_residual;
           Alcotest.test_case "set operations" `Quick test_setops;
+          Alcotest.test_case "set operations across join orders" `Quick
+            test_setops_across_join_orders;
           Alcotest.test_case "sort" `Quick test_sort;
           Alcotest.test_case "trim enforces properties" `Quick test_trim_enforces_properties;
           Alcotest.test_case "exception closes iterator tree" `Quick

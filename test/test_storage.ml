@@ -187,6 +187,59 @@ let test_store_errors () =
       ignore (Store.cardinality store ~coll:"Nope"));
   Alcotest.check_raises "dangling" Not_found (fun () -> ignore (Store.fetch store 424242))
 
+(* Every OID lookup path rejects OIDs that were never issued: 0, negative
+   ones and those at or past the next OID to be issued. *)
+let test_store_bad_oids () =
+  let store = mk_store () in
+  let oid = Store.insert store ~coll:"Things" [ ("x", Value.Int 1) ] in
+  List.iter
+    (fun bad ->
+      let raises what f =
+        Alcotest.check_raises (Printf.sprintf "%s %d" what bad) Not_found (fun () -> ignore (f ()))
+      in
+      raises "peek" (fun () -> Store.peek store bad);
+      raises "fetch" (fun () -> Store.fetch store bad);
+      raises "segment_id" (fun () -> Store.segment_id store bad);
+      raises "first_page_of" (fun () -> Store.first_page_of store bad);
+      raises "bytes_of" (fun () -> Store.bytes_of store bad);
+      raises "class_of" (fun () -> Store.class_of store bad))
+    [ 0; -1; min_int; oid + 1; oid + 1000 ];
+  Alcotest.(check int) "issued OID resolves" oid (Store.peek store oid).Store.oid
+
+(* Scans slice the collection's member array: an object inserted after a
+   scan must show up in the next one, on every scan path. *)
+let test_store_insert_after_scan () =
+  let store = mk_store () in
+  let a = Store.insert store ~coll:"Things" [ ("x", Value.Int 1) ] in
+  let scanned () =
+    let l = ref [] in
+    Store.scan store ~coll:"Things" (fun o -> l := o.Store.oid :: !l);
+    List.rev !l
+  in
+  let batch () =
+    Store.scan_batch store ~coll:"Things" ~pos:0 ~n:64
+    |> Array.map (fun o -> o.Store.oid)
+    |> Array.to_list
+  in
+  Alcotest.(check (list int)) "scan before" [ a ] (scanned ());
+  Alcotest.(check (list int)) "scan_batch before" [ a ] (batch ());
+  Alcotest.(check (list int)) "oids before" [ a ] (Store.oids store ~coll:"Things");
+  let b = Store.insert store ~coll:"Things" [ ("x", Value.Int 2) ] in
+  Alcotest.(check (list int)) "scan after" [ a; b ] (scanned ());
+  Alcotest.(check (list int)) "scan_batch after" [ a; b ] (batch ());
+  Alcotest.(check (list int)) "oids after" [ a; b ] (Store.oids store ~coll:"Things");
+  Alcotest.(check int) "cardinality" 2 (Store.cardinality store ~coll:"Things")
+
+(* OID tables start small and grow with the store: a three-object store
+   must not carry a table sized for thousands of objects. *)
+let test_store_small_tables () =
+  let store = mk_store () in
+  for i = 1 to 3 do
+    ignore (Store.insert store ~coll:"Things" [ ("x", Value.Int i) ])
+  done;
+  let words = Obj.reachable_words (Obj.repr store) in
+  Alcotest.(check bool) (Printf.sprintf "%d reachable words < 1024" words) true (words < 1024)
+
 (* ------------------------------------------------------------------ *)
 (* B-tree index                                                         *)
 
@@ -338,7 +391,10 @@ let () =
           Alcotest.test_case "scan order and IO" `Quick test_store_scan_order_and_io;
           Alcotest.test_case "set_field" `Quick test_store_set_field;
           Alcotest.test_case "multi-page objects" `Quick test_store_big_objects_span_pages;
-          Alcotest.test_case "errors" `Quick test_store_errors ] );
+          Alcotest.test_case "errors" `Quick test_store_errors;
+          Alcotest.test_case "unissued OIDs" `Quick test_store_bad_oids;
+          Alcotest.test_case "insert after scan" `Quick test_store_insert_after_scan;
+          Alcotest.test_case "small OID tables" `Quick test_store_small_tables ] );
       ( "btree",
         [ Alcotest.test_case "equality lookup" `Quick test_btree_lookup;
           Alcotest.test_case "range lookup" `Quick test_btree_range;

@@ -102,33 +102,48 @@ let test_fuzz_batch_invariance () =
     | Some plan -> check_batch_invariance (Printf.sprintf "seed %d" seed) db plan
   done
 
-(* The shim must also interleave coherently with batch pulls: consuming
-   a prefix tuple-wise and the rest batch-wise loses and duplicates
-   nothing. *)
-let test_mixed_tuple_and_batch_consumption () =
+(* Assembly cuts its child's batches into windows itself: a window that
+   straddles child batches must lose and duplicate nothing, and the
+   child is pulled once per batch plus the final exhausted pull, as a
+   tuple-at-a-time consumer would pull it. *)
+let test_assembly_windows_across_batches () =
   let db = Lazy.force Helpers.small_db in
-  let plan = Opt.plan_exn (Opt.optimize (Db.catalog db) Q.q1) in
-  let whole =
-    Oodb_exec.Iterator.to_list (Executor.iterator ~config:(config_of 64) db plan)
+  let module Iterator = Oodb_exec.Iterator in
+  let module Operators = Oodb_exec.Operators in
+  let n = Oodb_storage.Store.cardinality (Db.store db) ~coll:"Cities" in
+  let run window =
+    let pulls = ref 0 in
+    let scan = Operators.file_scan db ~coll:"Cities" ~binding:"c" ~batch_size:8 in
+    let counted =
+      Iterator.make_batched ~layout:(Iterator.layout scan)
+        ~open_:(fun () -> Iterator.open_ scan)
+        ~next_batch:(fun () ->
+          incr pulls;
+          Iterator.next_batch scan)
+        ~close:(fun () -> Iterator.close scan)
+    in
+    let it =
+      Operators.assembly db
+        ~paths:[ { Open_oodb.Physical.ap_src = "c"; ap_field = Some "mayor"; ap_out = "m" } ]
+        ~window counted
+    in
+    let l = Iterator.layout it in
+    let pairs =
+      List.map
+        (fun env -> (Oodb_exec.Env.oid l "c" env, Oodb_exec.Env.oid l "m" env))
+        (Iterator.to_list it)
+    in
+    (pairs, !pulls)
   in
-  let it = Executor.iterator ~config:(config_of 64) db plan in
-  Oodb_exec.Iterator.open_ it;
-  let prefix = ref [] in
-  for _ = 1 to 5 do
-    match Oodb_exec.Iterator.next it with
-    | Some env -> prefix := env :: !prefix
-    | None -> ()
-  done;
-  let rec drain acc =
-    match Oodb_exec.Iterator.next_batch it with
-    | Some b -> drain (acc @ Oodb_exec.Batch.to_list b)
-    | None -> acc
-  in
-  let mixed = List.rev !prefix @ drain [] in
-  Oodb_exec.Iterator.close it;
-  Alcotest.(check int) "same row count" (List.length whole) (List.length mixed);
-  Helpers.check_same_rows "mixed consumption = batch consumption"
-    (Executor.rows_of plan whole) (Executor.rows_of plan mixed)
+  let reference, _ = run 64 in
+  Alcotest.(check int) "every city" n (List.length reference);
+  List.iter
+    (fun window ->
+      let pairs, pulls = run window in
+      let what = Printf.sprintf "window %d" window in
+      Alcotest.(check bool) (what ^ " == window 64") true (pairs = reference);
+      Alcotest.(check int) (what ^ " child pulls") (((n + 7) / 8) + 1) pulls)
+    [ 1; 3; 5; 8; 13 ]
 
 let () =
   Alcotest.run "vectorized"
@@ -143,5 +158,5 @@ let () =
         [ Alcotest.test_case "seeded random plans batch-invariant" `Quick
             test_fuzz_batch_invariance ] );
       ( "protocol",
-        [ Alcotest.test_case "mixed tuple/batch consumption" `Quick
-            test_mixed_tuple_and_batch_consumption ] ) ]
+        [ Alcotest.test_case "assembly windows across child batches" `Quick
+            test_assembly_windows_across_batches ] ) ]
